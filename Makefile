@@ -19,32 +19,17 @@ bench: build
 # machines.  The diff table lands in /tmp/smartly_bench_diff.txt for
 # artifact upload.
 #
-# The gate runs three times.  Baselines are recorded with --no-sat-memo
-# (verdict cache off, SAT session + value analysis on), so the
-# --no-sat-memo leg must reproduce every deterministic counter exactly —
-# this proves the committed SAT-conflict/time numbers were beaten by the
-# incremental solver itself, not by a cache shortcut that could mask a
-# solver regression.  The default leg then runs with the memo enabled:
-# areas and cell counts must still match exactly, while the SAT counters
-# may only improve (the gate passes Improved, fails Regressed).  The
-# third leg disables the abstract-interpretation rung zero and gates
-# against bench/baselines/noanalysis, recorded in the same mode: areas
-# are byte-identical across the two stores while their sat_queries
-# differ, so the committed diff attributes the query reduction to the
-# rung the same way the memo legs attribute the cache win.
+# The gate runs twice: once over table2 and mux_chain, once over the
+# jobs_per_sec batch-throughput section (exact per-mode batch areas,
+# banded warm-vs-cold speedup).
 #
 # The last step is a self-test of the gate itself: --pessimize turns
 # the smartly flows into no-ops, so the re-measured areas genuinely
 # regress and the gate MUST fail — if it passes, the gate is broken
 # and the target errors out.
 bench-check: build
-	dune exec bench/main.exe -- table2 mux_chain --check --no-sat-memo \
-	  --threshold-scale 4 --report /tmp/smartly_bench_diff.txt
 	dune exec bench/main.exe -- table2 mux_chain --check \
-	  --threshold-scale 4 --report /tmp/smartly_bench_diff_memo.txt
-	dune exec bench/main.exe -- table2 mux_chain --check --no-sat-memo \
-	  --no-analysis --baseline-dir bench/baselines/noanalysis \
-	  --threshold-scale 4 --report /tmp/smartly_bench_diff_noanalysis.txt
+	  --threshold-scale 4 --report /tmp/smartly_bench_diff.txt
 	dune exec bench/main.exe -- jobs_per_sec --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_jobs.txt
 	@if dune exec bench/main.exe -- mux_chain --check --pessimize \
@@ -56,25 +41,14 @@ bench-check: build
 
 # Refresh every committed baseline.  Every section runs three times so
 # the wall-clock medians are meaningful (deterministic metrics are
-# rep-invariant, so the repetitions cost only time).  Baselines are
-# recorded with --no-sat-memo: the verdict cache off makes every SAT
-# counter deterministic and exactly reproducible by the memo-off gate
-# leg, and the default (memo-on) gate leg must then beat them rather
-# than merely match.  The jobs_per_sec section manages its own cache
-# state (cold vs warm is its subject) and so records without the flag.
-# Commit the resulting bench/baselines/*.json together with the change
-# that moved the numbers.
+# rep-invariant, so the repetitions cost only time).  Commit the
+# resulting bench/baselines/*.json together with the change that moved
+# the numbers.
 bench-baselines: build
 	dune exec bench/main.exe -- table2 table3 industrial \
-	  --update-baselines --no-sat-memo --reps 3
-	dune exec bench/main.exe -- mux_chain --update-baselines --no-sat-memo \
-	  --reps 3
+	  --update-baselines --reps 3
+	dune exec bench/main.exe -- mux_chain --update-baselines --reps 3
 	dune exec bench/main.exe -- jobs_per_sec --update-baselines --reps 3
-	dune exec bench/main.exe -- table2 table3 industrial \
-	  --update-baselines --no-sat-memo --no-analysis \
-	  --baseline-dir bench/baselines/noanalysis --reps 3
-	dune exec bench/main.exe -- mux_chain --update-baselines --no-sat-memo \
-	  --no-analysis --baseline-dir bench/baselines/noanalysis --reps 3
 
 # What CI runs: build, the full test suite, then an end-to-end smoke of
 # the observability surface — optimize the fast mux_chain profile with
@@ -91,8 +65,8 @@ bench-baselines: build
 # JSON report must survive the strict parser.  The analyze step runs
 # the value-analysis fixpoint over the three lint-clean examples and
 # validates each smartly-analysis-v1 report — the same backend the
-# NL010..NL013 rules and the engine's rung zero use, exercised on real
-# sources rather than profiles.  The mux_chain
+# NL010..NL013 rules use, exercised on real sources rather than
+# profiles.  The mux_chain
 # optimization is re-run under --check-invariants, which validates,
 # lints and equivalence-checks the circuit after every pass, and then
 # once more on the sharded task path (--jobs 2) with the full

@@ -5,10 +5,11 @@
      table3     — Table III: SAT-only / Rebuild-only / Full reductions
      industrial — Section IV-B: the mux-rich industrial benchmark
      mux_chain  — the seconds-fast smoke profile (CI regression gate)
-     jobs_per_sec — batch throughput: warm cross-job memo (the serve
-                  model) at --jobs 2/4 vs cold per-job state at --jobs 1
+     jobs_per_sec — batch throughput: warm cross-job task-replay store
+                  (the serve model) at --jobs 2/4 vs cold per-job state at
+                  --jobs 1
      figures    — Figs. 1/2/3/5/6/7 and the Listing-2 assignment claim
-     ablation   — design-choice sweeps (distance k, pruning, rules, ...)
+     ablation   — design-choice sweeps (distance k, rules, sim/SAT, ...)
      timing     — Bechamel micro-benchmarks of the passes
 
    Run with no arguments to regenerate everything the paper reports
@@ -34,17 +35,6 @@
      --pessimize           run the smaRTLy variants as no-ops: a
                            deliberate pessimization that self-tests the
                            regression gate end to end
-     --no-sat-memo         disable the cross-query verdict cache in the
-                           smaRTLy variants; baselines are recorded in this
-                           mode so the memo-off CI leg reproduces the
-                           deterministic counters exactly, while the
-                           default leg must only ever improve on them
-     --no-analysis         disable the abstract-interpretation rung zero in
-                           the smaRTLy variants; bench/baselines/noanalysis
-                           is recorded in this mode, so the committed diff
-                           between the two baseline stores documents the
-                           SAT queries the rung eliminates — with the areas
-                           byte-identical
      --no-ledger           don't record this run under .smartly/runs/
      --ledger-root DIR     where the run ledger lives (default
                            .smartly/runs)
@@ -66,8 +56,6 @@ let baseline_dir = ref Perf.Store.default_dir
 let threshold_scale = ref 1.0
 let report_path = ref None
 let pessimize = ref false
-let no_sat_memo = ref false
-let no_analysis = ref false
 let no_ledger = ref false
 let ledger_root = ref Obs.Ledger.default_root
 let progress = ref false
@@ -136,22 +124,7 @@ let optimized flow (c0 : Circuit.t) =
     (* gate self-test: leave the circuit untouched, so every smaRTLy
        area/cells_removed metric regresses against a real baseline *)
     ()
-  | `Smartly cfg ->
-    (* --no-sat-memo runs the flow without the cross-query verdict cache;
-       this is how baselines are recorded, so the CI memo-off gate leg
-       reproduces the deterministic counters exactly *)
-    let cfg =
-      if !no_sat_memo then { cfg with Smartly.Config.enable_sat_memo = false }
-      else cfg
-    in
-    (* --no-analysis likewise: the noanalysis baseline store is recorded
-       without the rung, so its gate leg reproduces those counters and the
-       committed diff between the stores is the rung's attribution *)
-    let cfg =
-      if !no_analysis then { cfg with Smartly.Config.enable_analysis = false }
-      else cfg
-    in
-    ignore (Smartly.Driver.smartly ~cfg c));
+  | `Smartly cfg -> ignore (Smartly.Driver.smartly ~cfg c));
   c
 
 (* --- the one statistical case runner every table section shares --- *)
@@ -176,13 +149,7 @@ type case_result = {
   sat_conflicts : int;
   sat_decisions : int;
   sat_propagations : int;
-  memo_hits : int;
-  memo_misses : int;
-  memo_evictions : int;
   session_flushes : int;
-  analysis_queries : int;
-  analysis_hits : int;
-  analysis_sweeps : int;
   (* SAT conflicts-per-query percentiles of the full-flow run *)
   conf_p50 : float;
   conf_p90 : float;
@@ -195,8 +162,7 @@ type case_result = {
    flow variants, or table cases *)
 let reset_instruments () =
   Obs.Metrics.reset ();
-  Smartly.Engine.Sat_log.reset ();
-  Smartly.Memo.reset ()
+  Smartly.Engine.Sat_log.reset ()
 
 let measure_flow flow (c0 : Circuit.t) : flow_meas * Circuit.t =
   let c, t =
@@ -228,13 +194,7 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
   let sat_conflicts = counter "engine.sat_conflicts" in
   let sat_decisions = counter "engine.sat_decisions" in
   let sat_propagations = counter "engine.sat_propagations" in
-  let memo_hits = counter "memo.hits" in
-  let memo_misses = counter "memo.misses" in
-  let memo_evictions = counter "memo.evictions" in
   let session_flushes = counter "sat_session.flushes" in
-  let analysis_queries = counter "engine.analysis_queries" in
-  let analysis_hits = counter "engine.analysis_hits" in
-  let analysis_sweeps = counter "engine.analysis_sweeps" in
   let conf =
     Obs.Metrics.histogram_stats
       (Obs.Metrics.histogram "engine.conflicts_per_query")
@@ -255,13 +215,7 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
     sat_conflicts;
     sat_decisions;
     sat_propagations;
-    memo_hits;
-    memo_misses;
-    memo_evictions;
     session_flushes;
-    analysis_queries;
-    analysis_hits;
-    analysis_sweeps;
     conf_p50 = conf.Obs.Metrics.p50;
     conf_p90 = conf.Obs.Metrics.p90;
     conf_max = conf.Obs.Metrics.max_v;
@@ -304,34 +258,6 @@ let sat_counter_metrics (r : case_result) =
       scalar ~name:"sat_decisions" ~kind:Count (f r.sat_decisions);
       scalar ~name:"sat_propagations" ~kind:Count (f r.sat_propagations);
     ]
-  (* memo counters only exist when the cache ran: baselines are recorded
-     with --no-sat-memo, so the memo-on gate leg must see these as
-     New_metric (ignored), never as an exact-Count mismatch *)
-  @ (if !no_sat_memo then []
-     else
-       Perf.Schema.
-         [
-           scalar ~direction:Higher_better ~name:"memo_hits" ~kind:Count
-             (f r.memo_hits);
-           scalar ~name:"memo_misses" ~kind:Count (f r.memo_misses);
-         ])
-  (* analysis counters only exist when the rung ran: the noanalysis
-     baseline store omits them, so its gate leg sees the rung's metrics
-     as New_metric (ignored), never as an exact-Count mismatch.  The
-     rung sits before memo, so both of the memo legs reproduce these
-     counts exactly against the default baseline store *)
-  @ (if !no_analysis then []
-     else
-       Perf.Schema.
-         [
-           scalar ~name:"analysis_queries" ~kind:Count (f r.analysis_queries);
-           scalar ~direction:Higher_better ~name:"analysis_hits" ~kind:Count
-             (f r.analysis_hits);
-         ])
-  (* always committed: memoization can only merge the stale periods the
-     session observes, so the memo-on leg's flush count never exceeds the
-     memo-off baseline's (Lower_better => Improved/Unchanged, never a
-     spurious regression) *)
   @ [
       Perf.Schema.scalar ~name:"session_flushes" ~kind:Perf.Schema.Count
         (f r.session_flushes);
@@ -340,17 +266,12 @@ let sat_counter_metrics (r : case_result) =
 (* the per-case cache/session panel of every statistical section *)
 let counters_table results =
   print_endline
-    "Rung-zero analysis, cross-query memo and SAT-session counters (full \
-     flow):";
+    "SAT-session counters (full flow):";
   Report.Table.print
     ~columns:
       [
         Report.Table.column ~align:Report.Table.Left "Case";
         Report.Table.column "queries";
-        Report.Table.column "analysis";
-        Report.Table.column "memo hit";
-        Report.Table.column "memo miss";
-        Report.Table.column "evict";
         Report.Table.column "flushes";
       ]
     ~rows:
@@ -359,10 +280,6 @@ let counters_table results =
            [
              r.name;
              string_of_int r.sat_queries;
-             Printf.sprintf "%d/%d" r.analysis_hits r.analysis_queries;
-             string_of_int r.memo_hits;
-             string_of_int r.memo_misses;
-             string_of_int r.memo_evictions;
              string_of_int r.session_flushes;
            ])
          results)
@@ -590,8 +507,8 @@ let mux_chain () =
 (* A batch the serve daemon would see: design variants (one per seed),
    each stamped out several times — regenerating unchanged sources is
    the normal shape of a re-run EDA batch.  Warm batch mode answers the
-   stamped copies from the cross-job caches: recurring queries from the
-   verdict memo, recurring muxtree tasks from the task-replay cache.
+   stamped copies from the cross-job task-replay store: a recurring
+   muxtree task replays its recorded edits instead of re-running.
    Generation happens once, outside every timed region. *)
 let batch_corpus =
   lazy
@@ -622,33 +539,21 @@ let batch_corpus =
 let jobs_per_sec () =
   print_endline "";
   print_endline
-    "Batch throughput (jobs/s): warm cross-job memo (the serve model) vs \
-     cold per-job state";
+    "Batch throughput (jobs/s): warm cross-job task-replay store (the serve \
+     model) vs cold per-job state";
   let corpus = Lazy.force batch_corpus in
   let n_jobs = List.length corpus in
-  (* the section's subject is the warm-memo batch mode, so the memo stays
-     on regardless of --no-sat-memo (which scopes the table2/table3
-     baseline-recording convention, not this section) *)
-  let cfg n =
-    {
-      Smartly.Config.default with
-      Smartly.Config.jobs = Some n;
-      enable_sat_memo = true;
-    }
-  in
-  (* [warm]: one memo store and one task-replay store for the whole
-     batch — the daemon's state model; cold resets per job, the
-     one-process-per-job reference.  Warmth builds *within* a batch
+  let cfg n = { Smartly.Config.default with Smartly.Config.jobs = Some n } in
+  (* [warm]: one task-replay store for the whole batch — the daemon's
+     state model; cold resets per job, the one-process-per-job
+     reference.  Warmth builds *within* a batch
      (each timed rep starts from fresh stores), so reps are i.i.d.
      Both modes run the task path ({!Smartly.Sat_elim.run_tasks}),
      whose frozen-snapshot semantics make the areas independent of the
      worker count and of cache state by construction — so any area
      disagreement below is a real bug, not schedule noise. *)
   let run_batch ~warm n () =
-    if warm then begin
-      Smartly.Memo.reset ();
-      Smartly.Replay.install (Smartly.Replay.make ())
-    end;
+    if warm then Smartly.Replay.install (Smartly.Replay.make ());
     List.map
       (fun (_, c0) ->
         if not warm then reset_instruments ();
@@ -955,8 +860,6 @@ let ablation () =
         "k=2", { base with Smartly.Config.distance_k = 2 };
         "k=4", { base with Smartly.Config.distance_k = 4 };
         "k=10", { base with Smartly.Config.distance_k = 10 };
-        ( "no Theorem II.1 pruning",
-          { base with Smartly.Config.enable_pruning = false } );
         ( "no inference rules",
           { base with Smartly.Config.enable_inference_rules = false } );
         ( "no simulation (SAT only)",
@@ -971,19 +874,7 @@ let ablation () =
   Report.Table.print
     ~columns:
       [ left "Configuration"; right "AIG"; right "vs Yosys"; right "time" ]
-    ~rows;
-  (* the paper's "~80% of sub-graph gates dismissed" claim *)
-  let c = Circuit.copy c0 in
-  ignore (Rtl_opt.Opt_expr.run c);
-  let r = Smartly.Sat_elim.run_once Smartly.Config.default c in
-  let kept = r.Smartly.Sat_elim.engine.Smartly.Engine.subgraph_kept in
-  let dropped = r.Smartly.Sat_elim.engine.Smartly.Engine.subgraph_dropped in
-  if kept + dropped > 0 then
-    Printf.printf
-      "Theorem II.1 pruning dismissed %d of %d sub-graph gates (%.1f%%)\n\
-       (paper: ~80%%)\n"
-      dropped (kept + dropped)
-      (100.0 *. float_of_int dropped /. float_of_int (kept + dropped))
+    ~rows
 
 (* --- Bechamel timing --- *)
 
@@ -1031,9 +922,8 @@ let usage () =
     "usage: bench [SECTION...] [--json] [--out DIR] [--reps N]\n\
     \             [--compare | --check] [--update-baselines]\n\
     \             [--baseline-dir DIR] [--threshold-scale X]\n\
-    \             [--report FILE] [--pessimize] [--no-sat-memo]\n\
-    \             [--no-analysis] [--no-ledger] [--ledger-root DIR]\n\
-    \             [--progress]\n\
+    \             [--report FILE] [--pessimize] [--no-ledger]\n\
+    \             [--ledger-root DIR] [--progress]\n\
      sections: table2 table3 industrial mux_chain jobs_per_sec figures\n\
     \          ablation timing all";
   exit 2
@@ -1062,12 +952,6 @@ let () =
       parse sections rest
     | "--pessimize" :: rest ->
       pessimize := true;
-      parse sections rest
-    | "--no-sat-memo" :: rest ->
-      no_sat_memo := true;
-      parse sections rest
-    | "--no-analysis" :: rest ->
-      no_analysis := true;
       parse sections rest
     | "--no-ledger" :: rest ->
       no_ledger := true;

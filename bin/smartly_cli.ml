@@ -13,7 +13,7 @@
                                           --list-rules prints the registry
    smartly serve [--socket PATH]          batch daemon: JSONL jobs in, one
                                           smartly-report-v1 per job out, warm
-                                          cross-job memo store
+                                          cross-job task-replay store
 
    SRC is either a built-in profile name or a path to a Verilog file in the
    supported subset.
@@ -113,25 +113,6 @@ let provenance_arg =
            netlist mutation) to FILE; aggregate it with $(b,smartly \
            explain).")
 
-let no_sat_memo_arg =
-  Arg.(
-    value & flag
-    & info [ "no-sat-memo" ]
-        ~doc:
-          "Disable the cross-query verdict cache: every sim/SAT query is \
-           resolved from scratch.  The final netlist is identical either \
-           way; this knob exists for benchmarking and for proving it.")
-
-let no_analysis_arg =
-  Arg.(
-    value & flag
-    & info [ "no-analysis" ]
-        ~doc:
-          "Disable the abstract-interpretation rung zero: every query \
-           falls through to the memo/sim/SAT rungs.  The final netlist is \
-           identical either way; this knob exists for benchmarking and \
-           for proving it.")
-
 let sat_session_arg =
   Arg.(
     value
@@ -197,20 +178,10 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Shard independent muxtrees across N worker domains \
-           (smartly-family flows).  The final netlist and the merged \
-           telemetry are byte-identical for every N; without the flag \
-           the legacy in-place sequential walk runs instead.")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race solver configurations (budgeted CDCL vs a fresh \
-           simulation-first ladder) on SAT queries the hardest-query \
-           ring flags as hard.  Opt-in: the netlist is unchanged but \
-           solver telemetry (conflict counts, hardest-query ranking) \
-           becomes schedule-dependent.")
+           (smartly-family flows), at most one per core.  The final \
+           netlist and the merged telemetry are byte-identical for every \
+           N; without the flag the legacy in-place sequential walk runs \
+           instead.")
 
 let progress_arg =
   Arg.(
@@ -452,10 +423,9 @@ let flow_name = function
   | `Sat -> "sat"
   | `Rebuild -> "rebuild"
 
-let run_flow ?after_pass ?(sat_memo = true) ?(sat_session = true)
-    ?(analysis = true) ?(pass_budget_ms = None) ?(pass_alloc_budget_mw = None)
-    ?(jobs = None) ?(portfolio = false) flow (c : Netlist.Circuit.t) : outcome
-    =
+let run_flow ?after_pass ?(sat_session = true) ?(pass_budget_ms = None)
+    ?(pass_alloc_budget_mw = None) ?(jobs = None) flow (c : Netlist.Circuit.t)
+    : outcome =
   match flow with
   | `None -> O_none
   | `Yosys -> O_yosys (Smartly.Driver.yosys ?after_pass c)
@@ -469,13 +439,10 @@ let run_flow ?after_pass ?(sat_memo = true) ?(sat_session = true)
     let cfg =
       {
         cfg with
-        Smartly.Config.enable_sat_memo = sat_memo;
-        enable_sat_session = sat_session;
-        enable_analysis = analysis;
+        Smartly.Config.enable_sat_session = sat_session;
         pass_budget_ms;
         pass_alloc_budget_mw;
         jobs;
-        portfolio;
       }
     in
     O_smartly (Smartly.Driver.smartly ~cfg ?after_pass c)
@@ -504,15 +471,10 @@ let engine_totals (o : outcome) : Smartly.Engine.stats =
         let e = rr.Smartly.Sat_elim.engine in
         let open Smartly.Engine in
         acc.rule_hits <- acc.rule_hits + e.rule_hits;
-        acc.analysis_hits <- acc.analysis_hits + e.analysis_hits;
-        acc.analysis_queries <- acc.analysis_queries + e.analysis_queries;
         acc.sim_queries <- acc.sim_queries + e.sim_queries;
         acc.sat_queries <- acc.sat_queries + e.sat_queries;
-        acc.memo_hits <- acc.memo_hits + e.memo_hits;
-        acc.memo_misses <- acc.memo_misses + e.memo_misses;
         acc.forgone <- acc.forgone + e.forgone;
         acc.subgraph_kept <- acc.subgraph_kept + e.subgraph_kept;
-        acc.subgraph_dropped <- acc.subgraph_dropped + e.subgraph_dropped;
         acc.sat_conflicts <- acc.sat_conflicts + e.sat_conflicts;
         acc.sat_decisions <- acc.sat_decisions + e.sat_decisions;
         acc.sat_propagations <- acc.sat_propagations + e.sat_propagations)
@@ -567,27 +529,6 @@ let session_json () : Obs.Json.t =
       "cell_reuses", num_of_int (counter_value "sat_session.cell_reuses");
     ]
 
-(* The rung-zero counters as one JSON object — the [analysis] section of
-   the --json report and of bench per-case output.  [Null] when the rung
-   never ran (--no-analysis, or a flow without the sat pass), so gates
-   diffing reports across configs never see a spurious section. *)
-let analysis_json () : Obs.Json.t =
-  let open Obs.Json in
-  let queries = counter_value "engine.analysis_queries" in
-  if queries = 0 then Null
-  else
-    Obj
-      [
-        "queries", num_of_int queries;
-        "hits", num_of_int (counter_value "engine.analysis_hits");
-        "forced", num_of_int (counter_value "engine.analysis_forced");
-        "unreachable", num_of_int (counter_value "engine.analysis_unreachable");
-        "sim_avoided", num_of_int (counter_value "engine.analysis_sim_avoided");
-        "sat_avoided", num_of_int (counter_value "engine.analysis_sat_avoided");
-        "sweeps", num_of_int (counter_value "engine.analysis_sweeps");
-        "seconds", histogram_percentiles_json "engine.analysis_seconds";
-      ]
-
 let overruns_of = function
   | O_none | O_yosys _ -> []
   | O_smartly r -> r.Smartly.Driver.overruns
@@ -632,17 +573,11 @@ let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
             "decisions", num_of_int e.Smartly.Engine.sat_decisions;
             "propagations", num_of_int e.Smartly.Engine.sat_propagations;
             "rule_hits", num_of_int e.Smartly.Engine.rule_hits;
-            "analysis_hits", num_of_int e.Smartly.Engine.analysis_hits;
             "sim_queries", num_of_int e.Smartly.Engine.sim_queries;
-            "memo_hits", num_of_int e.Smartly.Engine.memo_hits;
-            "memo_misses", num_of_int e.Smartly.Engine.memo_misses;
             "forgone", num_of_int e.Smartly.Engine.forgone;
             "subgraph_kept", num_of_int e.Smartly.Engine.subgraph_kept;
-            "subgraph_dropped", num_of_int e.Smartly.Engine.subgraph_dropped;
           ] );
-      "memo", Smartly.Memo.to_json ();
       "session", session_json ();
-      "analysis", analysis_json ();
       ( "budget",
         List
           (List.map Smartly.Budget.overrun_to_json (overruns_of outcome)) );
@@ -698,9 +633,8 @@ let flight_extra () =
 
 let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
-      check_invariants no_sat_memo no_analysis sat_session no_ledger
-      ledger_root pass_budget_ms pass_alloc_budget_mw jobs portfolio progress
-      =
+      check_invariants sat_session no_ledger ledger_root pass_budget_ms
+      pass_alloc_budget_mw jobs progress =
     let c = load_circuit ~style src in
     let orig = Netlist.Circuit.copy c in
     let invariants =
@@ -713,7 +647,6 @@ let opt_cmd =
     in
     Obs.Metrics.reset ();
     Smartly.Engine.Sat_log.reset ();
-    Smartly.Memo.reset ();
     Smartly.Budget.reset ();
     Obs.Event.reset ();
     (* the run ledger is on by default; a failure to create it (read-only
@@ -784,9 +717,8 @@ let opt_cmd =
     let t0 = Obs.Clock.now () in
     let outcome =
       try
-        run_flow ?after_pass ~sat_memo:(not no_sat_memo) ~sat_session
-          ~analysis:(not no_analysis) ~pass_budget_ms ~pass_alloc_budget_mw
-          ~jobs ~portfolio flow c
+        run_flow ?after_pass ~sat_session ~pass_budget_ms
+          ~pass_alloc_budget_mw ~jobs flow c
       with e ->
         (match ledger with
         | Some l ->
@@ -808,9 +740,7 @@ let opt_cmd =
              "area", Obs.Json.num_of_int area1;
              "iterations", Obs.Json.num_of_int (iterations_of outcome);
              "wall_seconds", Obs.Json.Num dt;
-             "memo", Smartly.Memo.to_json ();
              "session", session_json ();
-             "analysis", analysis_json ();
              "overruns", Obs.Json.num_of_int (List.length overruns);
            ])
       Obs.Event.Run_end;
@@ -855,23 +785,6 @@ let opt_cmd =
     Fmt.pf human "%s: AIG area %d -> %d (%s reduction) in %s@."
       (flow_name flow) area0 area1 (Report.Table.pct red)
       (Report.Table.secs dt);
-    (let e = engine_totals outcome in
-     if e.Smartly.Engine.analysis_queries > 0 then
-       Fmt.pf human "analysis: %d/%d rung-zero hits (%s)@."
-         e.Smartly.Engine.analysis_hits e.Smartly.Engine.analysis_queries
-         (Report.Table.pct
-            (100.0
-            *. float_of_int e.Smartly.Engine.analysis_hits
-            /. float_of_int e.Smartly.Engine.analysis_queries));
-     let consults = e.Smartly.Engine.memo_hits + e.Smartly.Engine.memo_misses in
-     if consults > 0 then
-       Fmt.pf human "memo: %d/%d hits (%s), %d entries@."
-         e.Smartly.Engine.memo_hits consults
-         (Report.Table.pct
-            (100.0
-            *. float_of_int e.Smartly.Engine.memo_hits
-            /. float_of_int consults))
-         (Smartly.Memo.size ()));
     List.iter
       (fun (o : Smartly.Budget.overrun) ->
         Fmt.pf human
@@ -959,9 +872,9 @@ let opt_cmd =
     Term.(
       const run $ src_arg $ style_arg $ flow_arg $ check_arg $ verbose_arg
       $ trace_arg $ json_arg $ provenance_arg $ sat_dump_arg
-      $ check_invariants_arg $ no_sat_memo_arg $ no_analysis_arg
-      $ sat_session_arg $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
-      $ pass_alloc_budget_mw_arg $ jobs_arg $ portfolio_arg $ progress_arg)
+      $ check_invariants_arg $ sat_session_arg $ no_ledger_arg
+      $ ledger_root_arg $ pass_budget_ms_arg $ pass_alloc_budget_mw_arg
+      $ jobs_arg $ progress_arg)
 
 let write_verilog_cmd =
   let out_arg =
@@ -1530,22 +1443,9 @@ let report_cmd =
         Option.bind run_end (fun (e : Obs.Event.t) ->
             Obs.Json.mem_int "area" e.Obs.Event.data)
     in
-    let memo =
-      Option.bind run_end (fun (e : Obs.Event.t) ->
-          Obs.Json.member "memo" e.Obs.Event.data)
-    in
     let session =
       Option.bind run_end (fun (e : Obs.Event.t) ->
           Obs.Json.member "session" e.Obs.Event.data)
-    in
-    (* only runs with the rung enabled carry a non-null analysis object *)
-    let analysis =
-      match
-        Option.bind run_end (fun (e : Obs.Event.t) ->
-            Obs.Json.member "analysis" e.Obs.Event.data)
-      with
-      | Some (Obs.Json.Obj _ as a) -> Some a
-      | _ -> None
     in
     let status =
       Option.value
@@ -1587,9 +1487,7 @@ let report_cmd =
                     [ "before", opt_int area_before;
                       "after", opt_int area_after ] );
                 "sat_queries", num_of_int sat_queries;
-                "memo", Option.value memo ~default:Null;
                 "session", Option.value session ~default:Null;
-                "analysis", Option.value analysis ~default:Null;
                 ( "budget",
                   List
                     (List.map
@@ -1664,23 +1562,6 @@ let report_cmd =
       end;
       if sat_queries > 0 then
         Printf.printf "  sat queries: %d\n" sat_queries;
-      (match memo with
-      | Some m ->
-        Printf.printf "  memo:   hits=%d misses=%d evictions=%d\n"
-          (Option.value (Obs.Json.mem_int "hits" m) ~default:0)
-          (Option.value (Obs.Json.mem_int "misses" m) ~default:0)
-          (Option.value (Obs.Json.mem_int "evictions" m) ~default:0)
-      | None -> ());
-      (match analysis with
-      | Some a ->
-        Printf.printf
-          "  analysis: hits=%d/%d forced=%d unreachable=%d sweeps=%d\n"
-          (Option.value (Obs.Json.mem_int "hits" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "queries" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "forced" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "unreachable" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "sweeps" a) ~default:0)
-      | None -> ());
       (match session with
       | Some s ->
         Printf.printf "  session: flushes=%d encodes=%d reuses=%d\n"
@@ -1729,7 +1610,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Render a human (or, with --json, machine-readable) summary of a \
-          run ledger: passes, timings, area trajectory, memo/session \
+          run ledger: passes, timings, area trajectory, SAT-session \
           counters, budget verdicts, flight-recorder dump.  Works from the \
           ledger files alone — including ledgers of runs that died \
           mid-pass, whose torn event stream is recovered and reported.")
@@ -1746,8 +1627,8 @@ let serve_cmd =
           ~doc:
             "Listen on a Unix-domain socket at PATH instead of serving \
              stdio.  Connections are accepted and served one at a time; \
-             the warm memo store is shared across all of them.  An \
-             existing socket file at PATH is replaced.")
+             the warm task-replay store is shared across all of them.  \
+             An existing socket file at PATH is replaced.")
   in
   let budget_ms_arg =
     Arg.(
@@ -1759,7 +1640,7 @@ let serve_cmd =
              --budget-ms) for jobs whose request carries no budget_ms \
              field.")
   in
-  let run style socket jobs portfolio budget_ms =
+  let run style socket jobs budget_ms =
     let load ~kind source =
       match kind with
       | "profile" | "verilog" | "auto" -> (
@@ -1772,7 +1653,6 @@ let serve_cmd =
       {
         Smartly.Config.default with
         jobs;
-        portfolio;
         pass_budget_ms = budget_ms;
       }
     in
@@ -1808,12 +1688,10 @@ let serve_cmd =
          "Run the batch optimization daemon: one JSON request per line \
           (op optimize/ping/stats/shutdown), one smartly-report-v1 \
           response per job, over stdio or a Unix socket.  A single warm \
-          cross-job memo store persists for the daemon's lifetime, so \
-          structurally recurring queries in a batch are answered from \
-          cache instead of re-solved.")
-    Term.(
-      const run $ style_arg $ socket_arg $ jobs_arg $ portfolio_arg
-      $ budget_ms_arg)
+          task-replay store persists for the daemon's lifetime, so muxtree \
+          tasks that recur verbatim in a batch replay their recorded edits \
+          instead of re-running.")
+    Term.(const run $ style_arg $ socket_arg $ jobs_arg $ budget_ms_arg)
 
 let main_cmd =
   let doc = "smaRTLy: RTL muxtree optimization (DAC'25 reproduction)" in

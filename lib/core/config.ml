@@ -12,18 +12,11 @@ type t = {
   sat_conflict_budget : int; (* conflict cap per SAT query *)
   max_subgraph_cells : int; (* forgo queries on larger sub-graphs *)
   enable_inference_rules : bool; (* Table I propagation *)
-  enable_analysis : bool;
-      (* abstract-interpretation rung zero (known-bits + intervals):
-         answers Forced/Unreachable before the memo/sim/SAT rungs when
-         the dataflow fixpoint pins the target; falls through on top *)
-  enable_pruning : bool; (* Theorem II.1 sub-graph pruning *)
   enable_sat : bool; (* the SAT-based redundancy elimination *)
   enable_sat_session : bool;
       (* persistent incremental solver shared by all queries of a run
          (guarded clause groups, learned clauses survive); [false] falls
          back to one fresh solver per query *)
-  enable_sat_memo : bool;
-      (* cross-query verdict cache keyed by canonical structural hash *)
   enable_rebuild : bool; (* muxtree restructuring *)
   rebuild_single_ctrl : bool;
       (* enforce the paper's SingleCtrl condition; [false] additionally
@@ -41,10 +34,6 @@ type t = {
          domain pool (1 = same task path, run inline).  [None] is the
          legacy in-place sequential walk — the default, and the mode
          the committed baselines were measured on *)
-  portfolio : bool;
-      (* race solver configurations on queries the hardest-query ring
-         flags; trades byte-determinism of solver telemetry for wall
-         time, so opt-in *)
 }
 
 let default =
@@ -55,17 +44,13 @@ let default =
     sat_conflict_budget = 4000;
     max_subgraph_cells = 600;
     enable_inference_rules = true;
-    enable_analysis = true;
-    enable_pruning = true;
     enable_sat = true;
     enable_sat_session = true;
-    enable_sat_memo = true;
     enable_rebuild = true;
     rebuild_single_ctrl = true;
     pass_budget_ms = None;
     pass_alloc_budget_mw = None;
     jobs = None;
-    portfolio = false;
   }
 
 let sat_only = { default with enable_rebuild = false }
@@ -76,11 +61,10 @@ let rebuild_only = { default with enable_sat = false }
    path's output is schedule-invariant by contract, so worker count must
    not split the cache. *)
 let fingerprint (t : t) =
-  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b%b%b%b%b;bm%s;ba%s"
+  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b;bm%s;ba%s"
     t.distance_k t.sim_input_threshold t.sat_input_threshold
     t.sat_conflict_budget t.max_subgraph_cells t.enable_inference_rules
-    t.enable_analysis t.enable_pruning t.enable_sat t.enable_sat_session
-    t.enable_sat_memo t.enable_rebuild t.rebuild_single_ctrl t.portfolio
+    t.enable_sat t.enable_sat_session t.enable_rebuild t.rebuild_single_ctrl
     (match t.pass_budget_ms with None -> "-" | Some m -> string_of_int m)
     (match t.pass_alloc_budget_mw with
     | None -> "-"

@@ -10,18 +10,10 @@ type t = {
   sat_conflict_budget : int;  (** conflict cap per SAT query *)
   max_subgraph_cells : int;  (** forgo queries on larger sub-graphs *)
   enable_inference_rules : bool;  (** Table I propagation *)
-  enable_analysis : bool;
-      (** abstract-interpretation rung zero: the known-bits + interval
-          fixpoint answers [Forced]/[Unreachable] before the memo/sim/SAT
-          rungs when it pins the target; falls through on top *)
-  enable_pruning : bool;  (** Theorem II.1 sub-graph pruning *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
   enable_sat_session : bool;
       (** persistent incremental solver ({!Cdcl.Session}) shared by all
           queries of a run; [false] = fresh solver per query *)
-  enable_sat_memo : bool;
-      (** cross-query verdict cache ({!Memo}) consulted before the
-          sim/SAT rungs *)
   enable_rebuild : bool;  (** the muxtree restructuring pass *)
   rebuild_single_ctrl : bool;
       (** enforce the paper's SingleCtrl condition; [false] extends the
@@ -36,10 +28,6 @@ type t = {
       (** [Some n]: shard independent muxtrees across an [n]-worker
           domain pool ({!Sat_elim.run_tasks}); [None] (default) is the
           legacy in-place sequential walk *)
-  portfolio : bool;
-      (** race solver configurations on ring-flagged hard queries;
-          opt-in because it trades solver-telemetry determinism for
-          wall time *)
 }
 
 val default : t

@@ -14,15 +14,10 @@ type verdict =
 
 type stats = {
   mutable rule_hits : int;
-  mutable analysis_hits : int;
-  mutable analysis_queries : int;
   mutable sim_queries : int;
   mutable sat_queries : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable forgone : int;
   mutable subgraph_kept : int;
-  mutable subgraph_dropped : int;
   mutable sat_conflicts : int;
   mutable sat_decisions : int;
   mutable sat_propagations : int;
@@ -31,15 +26,10 @@ type stats = {
 let fresh_stats () =
   {
     rule_hits = 0;
-    analysis_hits = 0;
-    analysis_queries = 0;
     sim_queries = 0;
     sat_queries = 0;
-    memo_hits = 0;
-    memo_misses = 0;
     forgone = 0;
     subgraph_kept = 0;
-    subgraph_dropped = 0;
     sat_conflicts = 0;
     sat_decisions = 0;
     sat_propagations = 0;
@@ -50,19 +40,15 @@ let fresh_stats () =
 type source =
   | Via_lookup (* already known: identical-signal rule *)
   | Via_rule of string (* inference rule family that derived the value *)
-  | Via_analysis (* abstract-interpretation rung zero *)
   | Via_sim (* exhaustive bit-parallel simulation *)
   | Via_sat of int (* SAT query, carrying the query id *)
-  | Via_memo (* cross-query verdict cache hit *)
   | Via_forgone (* thresholds exceeded; verdict is Unknown *)
 
 let source_name = function
   | Via_lookup -> "lookup"
   | Via_rule r -> "rule:" ^ r
-  | Via_analysis -> "analysis"
   | Via_sim -> "sim"
   | Via_sat id -> Printf.sprintf "sat:%d" id
-  | Via_memo -> "memo"
   | Via_forgone -> "forgone"
 
 (* Per-SAT-query telemetry with a bounded buffer of the hardest queries
@@ -217,15 +203,6 @@ module Sat_log = struct
   let hardest () = (st ()).hardest
   let query_count () = (st ()).total
 
-  (* The portfolio trigger: once some retained hardest-ring entry has
-     crossed [hard_floor] conflicts, this run's workload is producing
-     queries the primary configuration struggles with, and later SAT
-     queries are worth racing against a fresh-encoding rival. *)
-  let hard_floor = 64
-
-  let flags_hard () =
-    List.exists (fun e -> e.conflicts >= hard_floor) (st ()).hardest
-
   let solve_name = function
     | Cdcl.Solver.Sat -> "SAT"
     | Cdcl.Solver.Unsat -> "UNSAT"
@@ -268,19 +245,6 @@ end
 
 (* Global instruments; handles resolved once, bumped per query. *)
 let m_rule_hits = Obs.Metrics.counter "engine.rule_hits"
-let m_analysis_queries = Obs.Metrics.counter "engine.analysis_queries"
-let m_analysis_hits = Obs.Metrics.counter "engine.analysis_hits"
-let m_analysis_forced = Obs.Metrics.counter "engine.analysis_forced"
-
-let m_analysis_unreachable =
-  Obs.Metrics.counter "engine.analysis_unreachable"
-
-(* queries rung zero kept away from the heavier rungs, split by which
-   rung would have answered them *)
-let m_analysis_sim_avoided = Obs.Metrics.counter "engine.analysis_sim_avoided"
-let m_analysis_sat_avoided = Obs.Metrics.counter "engine.analysis_sat_avoided"
-let m_analysis_sweeps = Obs.Metrics.counter "engine.analysis_sweeps"
-let h_analysis_seconds = Obs.Metrics.histogram "engine.analysis_seconds"
 let m_sim_queries = Obs.Metrics.counter "engine.sim_queries"
 let m_sat_queries = Obs.Metrics.counter "engine.sat_queries"
 let m_forgone = Obs.Metrics.counter "engine.forgone"
@@ -292,7 +256,6 @@ let h_sat_query_seconds = Obs.Metrics.histogram "engine.sat_query_seconds"
 let h_sim_query_seconds = Obs.Metrics.histogram "engine.sim_query_seconds"
 let h_subgraph_size = Obs.Metrics.histogram "engine.subgraph_cells"
 let m_subgraph_kept = Obs.Metrics.counter "subgraph.kept"
-let m_subgraph_dropped = Obs.Metrics.counter "subgraph.dropped"
 
 (* --- exhaustive simulation --- *)
 
@@ -390,116 +353,40 @@ let verdict_query_name = function
    this query activates exactly them by assuming their guard literals, so
    the verdict is identical to a fresh encoding of the view while learned
    clauses and the variable map survive to the next query. *)
-type attempt_out = {
-  at_r : Cdcl.Tseitin.query_result;
-  at_info : Cdcl.Tseitin.solve_info;
-  at_enc : Cdcl.Tseitin.t;
-  at_assumptions : Cdcl.Lit.t list;
-  at_mode : string;
-  at_conflicts : int;
-  at_decisions : int;
-  at_propagations : int;
-  at_wall_s : float;
-}
-
-let m_portfolio_races = Obs.Metrics.counter "engine.portfolio_races"
-let m_portfolio_fresh_wins = Obs.Metrics.counter "engine.portfolio_fresh_wins"
-
-let query_sat_how ?stats ?session ?(portfolio = false) (circuit : Circuit.t)
-    (view : Subgraph.view) (known : Inference.known) ~budget
-    ~(target : Bits.bit) : verdict * int =
+let query_sat_how ?stats ?session (circuit : Circuit.t) (view : Subgraph.view)
+    (known : Inference.known) ~budget ~(target : Bits.bit) : verdict * int =
   let qid = Sat_log.fresh_id () in
-  let fresh_candidate () =
-    let enc = Cdcl.Tseitin.create () in
-    Cdcl.Tseitin.encode_cells enc circuit view.Subgraph.cells;
-    (enc, [], None, "fresh")
-  in
-  let primary =
+  let enc, guards, relevant, mode =
     match session with
     | Some sess ->
       let guards, relevant =
         Cdcl.Session.prepare sess circuit view.Subgraph.cells
       in
       (Cdcl.Session.encoder sess, guards, Some relevant, "session")
-    | None -> fresh_candidate ()
+    | None ->
+      let enc = Cdcl.Tseitin.create () in
+      Cdcl.Tseitin.encode_cells enc circuit view.Subgraph.cells;
+      (enc, [], None, "fresh")
   in
-  let attempt (enc, guards, relevant, mode) interrupt : attempt_out =
-    let assumptions =
-      guards
-      @ Bits.Bit_tbl.fold
-          (fun b v acc -> Cdcl.Tseitin.assume_lit enc b v :: acc)
-          known []
-    in
-    (* snapshot around the query so a persistent solver's lifetime totals
-       don't leak into per-query telemetry (fresh solvers start at zero,
-       so the deltas are identical to the old totals there) *)
-    let c0, d0, p0 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
-    let t0 = Obs.Clock.now () in
-    let r, info =
-      Cdcl.Tseitin.query_forced_info ~budget ?relevant ~interrupt enc
-        ~assumptions ~target
-    in
-    let wall_s = Obs.Clock.now () -. t0 in
-    let c1, d1, p1 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
-    {
-      at_r = r;
-      at_info = info;
-      at_enc = enc;
-      at_assumptions = assumptions;
-      at_mode = mode;
-      at_conflicts = c1 - c0;
-      at_decisions = d1 - d0;
-      at_propagations = p1 - p0;
-      at_wall_s = wall_s;
-    }
+  let assumptions =
+    guards
+    @ Bits.Bit_tbl.fold
+        (fun b v acc -> Cdcl.Tseitin.assume_lit enc b v :: acc)
+        known []
   in
-  let no_interrupt () = false in
-  let out =
-    if portfolio && session <> None && Sat_log.flags_hard () then begin
-      (* Race the warm session against a fresh encoding (no accumulated
-         learned clauses or activity — a genuinely different search
-         trajectory).  The first decided verdict wins and interrupts the
-         rival; an interrupted or budgeted-out attempt reports
-         [Undetermined] and is stashed as the fallback for when neither
-         side decides.  Only the winner's deltas reach the telemetry,
-         which is why this mode is opt-in: the netlist is unchanged, but
-         conflict counts and the hardest-query ranking become
-         schedule-dependent. *)
-      Obs.Metrics.incr m_portfolio_races;
-      let undecided = Atomic.make None in
-      let wrap mk stop =
-        let out = attempt (mk ()) stop in
-        match out.at_r with
-        | Cdcl.Tseitin.Undetermined ->
-          Atomic.set undecided (Some out);
-          None
-        | _ -> Some { out with at_mode = "portfolio-" ^ out.at_mode }
-      in
-      match Pool.race [ wrap (fun () -> primary); wrap fresh_candidate ] with
-      | Some out ->
-        if out.at_mode = "portfolio-fresh" then
-          Obs.Metrics.incr m_portfolio_fresh_wins;
-        out
-      | None -> (
-        match Atomic.get undecided with
-        | Some out -> out
-        | None -> attempt primary no_interrupt)
-    end
-    else attempt primary no_interrupt
+  (* snapshot around the query so a persistent solver's lifetime totals
+     don't leak into per-query telemetry (fresh solvers start at zero,
+     so the deltas are identical to the old totals there) *)
+  let c0, d0, p0 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
+  let t0 = Obs.Clock.now () in
+  let r, info =
+    Cdcl.Tseitin.query_forced_info ~budget ?relevant enc ~assumptions ~target
   in
-  let {
-    at_r = r;
-    at_info = info;
-    at_enc = enc;
-    at_assumptions = assumptions;
-    at_mode = mode;
-    at_conflicts = conflicts;
-    at_decisions = decisions;
-    at_propagations = propagations;
-    at_wall_s = wall_s;
-  } =
-    out
-  in
+  let wall_s = Obs.Clock.now () -. t0 in
+  let c1, d1, p1 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
+  let conflicts = c1 - c0
+  and decisions = d1 - d0
+  and propagations = p1 - p0 in
   Obs.Metrics.add m_sat_conflicts conflicts;
   Obs.Metrics.add m_sat_decisions decisions;
   Obs.Metrics.add m_sat_propagations propagations;
@@ -562,18 +449,15 @@ let query_sat_how ?stats ?session ?(portfolio = false) (circuit : Circuit.t)
     | Cdcl.Tseitin.Undetermined -> Unknown),
     qid )
 
-let query_sat ?stats ?session ?portfolio circuit view known ~budget ~target :
-    verdict =
-  fst
-    (query_sat_how ?stats ?session ?portfolio circuit view known ~budget
-       ~target)
+let query_sat ?stats ?session circuit view known ~budget ~target : verdict =
+  fst (query_sat_how ?stats ?session circuit view known ~budget ~target)
 
 (* --- the combined engine --- *)
 
 (* Determine [target] under [known].  A fresh bounded sub-graph is built
    from the distance-k cones of the target and of every known signal (the
-   only gates Theorem II.1 allows to matter), then pruned.  [known] is
-   copied; the caller's map is never polluted by inferred values. *)
+   only gates Theorem II.1 allows to matter).  [known] is copied; the
+   caller's map is never polluted by inferred values. *)
 let determine_how ?session (cfg : Config.t) (stats : stats)
     (circuit : Circuit.t) (index : Index.t) (known : Inference.known)
     ~(target : Bits.bit) : verdict * source =
@@ -599,19 +483,11 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
       (Unknown, Via_forgone)
     end
     else begin
-    let relevant =
-      target :: Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known []
-    in
-    let view =
-      if cfg.Config.enable_pruning then Subgraph.prune sg ~relevant
-      else Subgraph.full_view sg
-    in
-    stats.subgraph_kept <- stats.subgraph_kept + view.Subgraph.kept;
-    stats.subgraph_dropped <- stats.subgraph_dropped + view.Subgraph.dropped;
-    Obs.Metrics.add m_subgraph_kept view.Subgraph.kept;
-    Obs.Metrics.add m_subgraph_dropped view.Subgraph.dropped;
-    (* target not even in the pruned sub-graph (neither computed by it nor
-       one of its sources): no relation to knowns, nothing to infer from *)
+    let view = Subgraph.view sg in
+    stats.subgraph_kept <- stats.subgraph_kept + Subgraph.size sg;
+    Obs.Metrics.add m_subgraph_kept (Subgraph.size sg);
+    (* target not even in the sub-graph (neither computed by it nor one
+       of its sources): no relation to knowns, nothing to infer from *)
     let target_inside =
       List.exists (Bits.bit_equal target) view.Subgraph.sources
       || List.exists
@@ -657,106 +533,22 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
           Obs.Metrics.incr m_forgone;
           (Unknown, Via_forgone)
         end
+        else if n <= cfg.Config.sim_input_threshold then begin
+          stats.sim_queries <- stats.sim_queries + 1;
+          Obs.Metrics.incr m_sim_queries;
+          let t0 = Obs.Clock.now () in
+          let v = simulate_exhaustive circuit view local ~free_inputs ~target in
+          Obs.Metrics.observe h_sim_query_seconds (Obs.Clock.now () -. t0);
+          (v, Via_sim)
+        end
         else begin
-          (* rung zero: the abstract-interpretation fixpoint over the
-             pruned view, seeded with every path fact (plus whatever the
-             rules just inferred into [local]).  Sound by construction —
-             it only answers when a definite value or a contradiction is
-             proven, and falls through on top — and it sits after the
-             threshold check so it only ever intercepts queries the
-             sim/SAT rungs would have answered identically: final
-             netlists are byte-identical with the rung off, only the
-             query counters move. *)
-          let analysis_verdict =
-            if not cfg.Config.enable_analysis then None
-            else begin
-              stats.analysis_queries <- stats.analysis_queries + 1;
-              Obs.Metrics.incr m_analysis_queries;
-              let t0 = Obs.Clock.now () in
-              let seeds =
-                Bits.Bit_tbl.fold (fun b v acc -> (b, v) :: acc) local []
-              in
-              let r =
-                Analysis.Fixpoint.run ~seeds circuit view.Subgraph.cells
-              in
-              Obs.Metrics.observe h_analysis_seconds (Obs.Clock.now () -. t0);
-              match r with
-              | Analysis.Fixpoint.Contradiction ->
-                Obs.Metrics.incr m_analysis_unreachable;
-                Some Unreachable
-              | Analysis.Fixpoint.Converged o -> (
-                Obs.Metrics.add m_analysis_sweeps o.Analysis.Fixpoint.sweeps;
-                match Analysis.Absval.read o.Analysis.Fixpoint.state target with
-                | Analysis.Absval.One ->
-                  Obs.Metrics.incr m_analysis_forced;
-                  Some (Forced true)
-                | Analysis.Absval.Zero ->
-                  Obs.Metrics.incr m_analysis_forced;
-                  Some (Forced false)
-                | Analysis.Absval.Top -> None)
-            end
+          stats.sat_queries <- stats.sat_queries + 1;
+          Obs.Metrics.incr m_sat_queries;
+          let v, qid =
+            query_sat_how ~stats ?session circuit view local
+              ~budget:cfg.Config.sat_conflict_budget ~target
           in
-          match analysis_verdict with
-          | Some v ->
-            stats.analysis_hits <- stats.analysis_hits + 1;
-            Obs.Metrics.incr m_analysis_hits;
-            Obs.Metrics.incr
-              (if n <= cfg.Config.sim_input_threshold then
-                 m_analysis_sim_avoided
-               else m_analysis_sat_avoided);
-            (v, Via_analysis)
-          | None ->
-          (* sim and SAT verdicts are pure functions of (view, knowns,
-             target): consult the cross-query cache before either rung *)
-          let mkey =
-            if cfg.Config.enable_sat_memo then
-              Some (Memo.key circuit view local ~target)
-            else None
-          in
-          match Option.bind mkey Memo.find with
-          | Some mv ->
-            stats.memo_hits <- stats.memo_hits + 1;
-            let v =
-              match mv with
-              | Memo.Forced b -> Forced b
-              | Memo.Free -> Free
-              | Memo.Unreachable -> Unreachable
-            in
-            (v, Via_memo)
-          | None ->
-            if mkey <> None then stats.memo_misses <- stats.memo_misses + 1;
-            let v, src =
-              if n <= cfg.Config.sim_input_threshold then begin
-                stats.sim_queries <- stats.sim_queries + 1;
-                Obs.Metrics.incr m_sim_queries;
-                let t0 = Obs.Clock.now () in
-                let v =
-                  simulate_exhaustive circuit view local ~free_inputs ~target
-                in
-                Obs.Metrics.observe h_sim_query_seconds
-                  (Obs.Clock.now () -. t0);
-                (v, Via_sim)
-              end
-              else begin
-                stats.sat_queries <- stats.sat_queries + 1;
-                Obs.Metrics.incr m_sat_queries;
-                let v, qid =
-                  query_sat_how ~stats ?session
-                    ~portfolio:cfg.Config.portfolio circuit view local
-                    ~budget:cfg.Config.sat_conflict_budget ~target
-                in
-                (v, Via_sat qid)
-              end
-            in
-            (match mkey with
-            | Some k -> (
-              match v with
-              | Forced b -> Memo.store k (Memo.Forced b)
-              | Free -> Memo.store k Memo.Free
-              | Unreachable -> Memo.store k Memo.Unreachable
-              | Unknown -> () (* budget-dependent, never cached *))
-            | None -> ());
-            (v, src)
+          (v, Via_sat qid)
         end
       | exception Inference.Contradiction -> (Unreachable, Via_rule "contradiction")
     end

@@ -1,12 +1,9 @@
 (** The combined decision engine: is a signal forced under path facts?
 
-    Resolution ladder, the paper's plus a static rung: direct lookup
-    (the Yosys identical-signal rule), inference rules, the
-    abstract-interpretation rung zero ({!Analysis.Fixpoint}: known-bits +
-    intervals, answering before the memo/sim/SAT rungs when the target's
-    abstract value is definite), exhaustive bit-parallel simulation when
-    the pruned sub-graph has few free inputs, an incremental SAT query
-    otherwise, and a give-up threshold. *)
+    The paper's resolution ladder: direct lookup (the Yosys
+    identical-signal rule), inference rules, exhaustive bit-parallel
+    simulation when the sub-graph has few free inputs, an incremental SAT
+    query otherwise, and a give-up threshold. *)
 
 open Netlist
 
@@ -18,19 +15,10 @@ type verdict =
 
 type stats = {
   mutable rule_hits : int;
-  mutable analysis_hits : int;
-      (** verdicts answered by the abstract-interpretation rung zero *)
-  mutable analysis_queries : int;
-      (** rung-zero attempts (hits + falls through on top) *)
   mutable sim_queries : int;
   mutable sat_queries : int;
-  mutable memo_hits : int;
-      (** verdicts answered by the cross-query cache ({!Memo}) *)
-  mutable memo_misses : int;
-      (** cache consults that fell through to sim/SAT *)
   mutable forgone : int;
-  mutable subgraph_kept : int;
-  mutable subgraph_dropped : int;
+  mutable subgraph_kept : int;  (** sub-graph cells over all queries *)
   mutable sat_conflicts : int;
       (** solver conflicts accumulated over all SAT queries *)
   mutable sat_decisions : int;
@@ -44,17 +32,12 @@ val fresh_stats : unit -> stats
 type source =
   | Via_lookup  (** already known: the identical-signal rule *)
   | Via_rule of string  (** inference rule family that derived the value *)
-  | Via_analysis
-      (** abstract-interpretation rung zero: the known-bits + interval
-          fixpoint pinned the target (or proved the path dead) *)
   | Via_sim  (** exhaustive bit-parallel simulation *)
   | Via_sat of int  (** SAT query, carrying the query id *)
-  | Via_memo  (** cross-query verdict cache hit *)
   | Via_forgone  (** thresholds exceeded; verdict is [Unknown] *)
 
 val source_name : source -> string
-(** ["lookup"], ["rule:or"], ["analysis"], ["sim"], ["sat:42"],
-    ["memo"], ["forgone"]. *)
+(** ["lookup"], ["rule:or"], ["sim"], ["sat:42"], ["forgone"]. *)
 
 (** Per-SAT-query telemetry and a bounded buffer of the hardest queries
     (by conflicts), each with a self-contained DIMACS dump replayable by
@@ -92,12 +75,6 @@ module Sat_log : sig
 
   val query_count : unit -> int
   (** Total queries recorded since {!reset}. *)
-
-  val flags_hard : unit -> bool
-  (** Whether the retained ring holds an entry past the hard-query
-      conflict floor — the portfolio racer's trigger: once the run has
-      produced one genuinely hard query, later SAT queries are worth
-      racing against a fresh-encoding rival. *)
 
   type snapshot
   (** A captured worker-domain log: ids consumed, total, hardest
@@ -146,7 +123,6 @@ val simulate_exhaustive :
 val query_sat :
   ?stats:stats ->
   ?session:Cdcl.Session.t ->
-  ?portfolio:bool ->
   Circuit.t ->
   Subgraph.view ->
   Inference.known ->
@@ -159,20 +135,11 @@ val query_sat :
     by assumptions, so the verdict is the same while learned clauses and
     the variable map carry over to the next query.  When [stats] is given
     the query's conflict/decision/propagation deltas are accumulated into
-    it (and into the global {!Obs.Metrics} registry).
-
-    With [portfolio] (and a session), queries issued after
-    {!Sat_log.flags_hard} trips are raced on two domains: the warm
-    session versus a fresh encoding, first decided verdict wins and
-    interrupts the rival ({!Pool.race}).  The verdict is unchanged
-    either way; only the solver telemetry (whose configuration's deltas
-    get recorded) becomes schedule-dependent, which is why the mode is
-    opt-in. *)
+    it (and into the global {!Obs.Metrics} registry). *)
 
 val query_sat_how :
   ?stats:stats ->
   ?session:Cdcl.Session.t ->
-  ?portfolio:bool ->
   Circuit.t ->
   Subgraph.view ->
   Inference.known ->
@@ -191,11 +158,9 @@ val determine :
   target:Bits.bit ->
   verdict
 (** Build the bounded sub-graph from the cones of the target and the known
-    signals, prune it (Theorem II.1), and run the ladder.  The caller's
-    known map is never polluted with inferred values.  When
-    [cfg.enable_sat_memo] is set, the sim/SAT rungs are fronted by the
-    cross-query cache ({!Memo}); [session] routes SAT queries through the
-    persistent incremental solver. *)
+    signals and run the ladder on it.  The caller's known map is never
+    polluted with inferred values.  [session] routes SAT queries through
+    the persistent incremental solver. *)
 
 val determine_how :
   ?session:Cdcl.Session.t ->

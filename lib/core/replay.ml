@@ -6,10 +6,9 @@
    is a pure function of (frozen circuit cells, root id, config), so a
    warm batch — the serve daemon re-optimizing stamped-out copies or
    re-running a design batch after edits elsewhere — can skip the whole
-   task and replay the recorded edits when the key recurs.  This is the
-   coarse-grained sibling of the per-query {!Memo}: Memo removes a
-   recurring query's sim/SAT rung, Replay removes the entire traversal,
-   sub-graph construction and key building for a recurring tree.
+   task and replay the recorded edits when the key recurs: the entire
+   traversal, sub-graph construction and query ladder of a recurring
+   tree are skipped.
 
    Keys embed a digest of a full serialization of the circuit's cells
    (the only state the task reads — ports and wire names don't reach the

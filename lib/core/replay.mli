@@ -6,9 +6,8 @@
     function of (frozen circuit cells, root id, config).  A warm batch
     (the serve daemon re-optimizing stamped-out design variants, or the
     [jobs_per_sec] bench's warm mode) therefore replays the recorded
-    edits on key recurrence instead of re-running the task.  The
-    coarse-grained sibling of {!Memo}: Memo removes a recurring query's
-    sim/SAT rung, Replay removes the recurring tree's entire traversal.
+    edits on key recurrence instead of re-running the task: the
+    recurring tree's entire traversal is skipped.
 
     Opt-in and coordinator-only: nothing is consulted until {!install}
     puts a store on the current domain, and {!Sat_elim.run_tasks}

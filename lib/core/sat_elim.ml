@@ -8,8 +8,8 @@
 
    Per query, a bounded sub-graph is built from the distance-k fanin cones
    of the visited control ports (the paper's incremental accumulation,
-   restricted to the facts on the current path), pruned with Theorem II.1,
-   and handed to the engine. *)
+   restricted to the facts on the current path), and handed to the
+   engine. *)
 
 open Netlist
 module OM = Rtl_opt.Opt_muxtree
@@ -23,17 +23,13 @@ type report = {
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "bypassed=%d data_folded=%d dead=%d rules=%d analysis=%d sim=%d sat=%d \
-     memo=%d/%d forgone=%d kept=%d dropped=%d conflicts=%d decisions=%d \
-     props=%d"
+    "bypassed=%d data_folded=%d dead=%d rules=%d sim=%d sat=%d forgone=%d \
+     kept=%d conflicts=%d decisions=%d props=%d"
     r.muxes_bypassed r.data_bits_folded r.dead_branches
-    r.engine.Engine.rule_hits r.engine.Engine.analysis_hits
-    r.engine.Engine.sim_queries
-    r.engine.Engine.sat_queries r.engine.Engine.memo_hits
-    r.engine.Engine.memo_misses r.engine.Engine.forgone
-    r.engine.Engine.subgraph_kept r.engine.Engine.subgraph_dropped
-    r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
-    r.engine.Engine.sat_propagations
+    r.engine.Engine.rule_hits r.engine.Engine.sim_queries
+    r.engine.Engine.sat_queries r.engine.Engine.forgone
+    r.engine.Engine.subgraph_kept r.engine.Engine.sat_conflicts
+    r.engine.Engine.sat_decisions r.engine.Engine.sat_propagations
 
 type ctx = {
   cfg : Config.t;
@@ -69,10 +65,8 @@ let mechanism_of_source (src : Engine.source) :
   match src with
   | Engine.Via_lookup -> (Obs.Provenance.Rule "identical_signal", None)
   | Engine.Via_rule r -> (Obs.Provenance.Rule r, None)
-  | Engine.Via_analysis -> (Obs.Provenance.Analysis, None)
   | Engine.Via_sim -> (Obs.Provenance.Rule "sim", None)
   | Engine.Via_sat qid -> (Obs.Provenance.Sat, Some qid)
-  | Engine.Via_memo -> (Obs.Provenance.Memo, None)
   | Engine.Via_forgone -> (Obs.Provenance.Pruned, None)
 
 let with_fact known (bit : Bits.bit) v =
@@ -121,18 +115,12 @@ let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
       Array.iter (fun b -> Subgraph.add_cone sg ~k b) port;
       if Subgraph.size sg > ctx.cfg.Config.max_subgraph_cells then known
       else begin
-      let relevant =
-        Array.to_list port
-        @ Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known []
-      in
-      let view =
-        if ctx.cfg.Config.enable_pruning then Subgraph.prune sg ~relevant
-        else Subgraph.full_view sg
-      in
-      let local = Bits.Bit_tbl.copy known in
-      match Inference.propagate ~track ctx.c local view.Subgraph.cells with
-      | _ -> local
-      | exception Inference.Contradiction -> known
+        let local = Bits.Bit_tbl.copy known in
+        match
+          Inference.propagate ~track ctx.c local (Subgraph.view sg).Subgraph.cells
+        with
+        | _ -> local
+        | exception Inference.Contradiction -> known
       end
     end
     else known
@@ -341,10 +329,10 @@ let run_once (cfg : Config.t) (c : Circuit.t) : report =
    into another task's root — which makes the merge conflict-free and
    the result independent of the schedule.
 
-   Every task also opens a {!Sched} scope: fresh SAT session, memo
-   overlay over the coordinator's frozen store, local metrics /
-   provenance / bus buffers and SAT log, all merged at the barrier in
-   task order so [--jobs N] telemetry is byte-identical for every N.
+   Every task also opens a {!Sched} scope: fresh SAT session, local
+   metrics / provenance / bus buffers and SAT log, all merged at the
+   barrier in task order so [--jobs N] telemetry is byte-identical for
+   every N.
    The price of that determinism is per-task (not per-run) solver
    state; the legacy [run_once] path keeps the shared session and
    remains the default. *)
@@ -359,19 +347,11 @@ type task_result = {
 
 let add_stats (into : Engine.stats) (s : Engine.stats) =
   into.Engine.rule_hits <- into.Engine.rule_hits + s.Engine.rule_hits;
-  into.Engine.analysis_hits <-
-    into.Engine.analysis_hits + s.Engine.analysis_hits;
-  into.Engine.analysis_queries <-
-    into.Engine.analysis_queries + s.Engine.analysis_queries;
   into.Engine.sim_queries <- into.Engine.sim_queries + s.Engine.sim_queries;
   into.Engine.sat_queries <- into.Engine.sat_queries + s.Engine.sat_queries;
-  into.Engine.memo_hits <- into.Engine.memo_hits + s.Engine.memo_hits;
-  into.Engine.memo_misses <- into.Engine.memo_misses + s.Engine.memo_misses;
   into.Engine.forgone <- into.Engine.forgone + s.Engine.forgone;
   into.Engine.subgraph_kept <-
     into.Engine.subgraph_kept + s.Engine.subgraph_kept;
-  into.Engine.subgraph_dropped <-
-    into.Engine.subgraph_dropped + s.Engine.subgraph_dropped;
   into.Engine.sat_conflicts <-
     into.Engine.sat_conflicts + s.Engine.sat_conflicts;
   into.Engine.sat_decisions <-
@@ -417,7 +397,7 @@ let run_tasks (cfg : Config.t) (c : Circuit.t) ~jobs : report =
     done;
     Array.of_list !l
   in
-  let env = Sched.env ~cfg () in
+  let env = Sched.env () in
   let miss_results =
     Pool.run ~jobs
       ~init:(fun () ->

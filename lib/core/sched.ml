@@ -1,15 +1,13 @@
 (* Task-scoped state management for the parallel scheduler.
 
-   One optimization task (a muxtree, a serve job) touches five pieces of
-   ambient state: the Obs metrics/bus/provenance surfaces, the SAT query
-   log, the verdict memo, and the budget watchdog.  This module bundles
-   their capture protocols into one open/close/merge triple so the
-   callers (Sat_elim's parallel path, Serve's batch loop) cannot get the
-   ordering wrong:
+   One optimization task (a muxtree, a serve job) touches ambient state:
+   the Obs metrics/bus/provenance surfaces, the SAT query log, and the
+   budget watchdog.  This module bundles their capture protocols into
+   one open/close/merge triple so the callers (Sat_elim's parallel path,
+   Serve's batch loop) cannot get the ordering wrong:
 
    - [env] is taken once on the coordinating domain, freezing what the
-     tasks inherit: the observability spec, the armed budget, and the
-     memo store to read through.
+     tasks inherit: the observability spec and the armed budget.
    - [open_task]/[close_task] run on the executing domain — a pool
      worker, or the coordinator itself when jobs run inline — and
      displace/restore that domain's state around the task, so every
@@ -19,43 +17,27 @@
      offset is applied to the task's provenance and bus references, so
      the merged telemetry is byte-identical to a sequential run's. *)
 
-type env = {
-  e_spec : Obs.Scope.spec;
-  e_budget : Budget.inherited option;
-  e_memo_base : Memo.t option; (* None when the memo rung is disabled *)
-}
+type env = { e_spec : Obs.Scope.spec; e_budget : Budget.inherited option }
 
-let env ?(cfg = Config.default) () =
-  {
-    e_spec = Obs.Scope.spec ();
-    e_budget = Budget.snapshot ();
-    e_memo_base =
-      (if cfg.Config.enable_sat_memo then Some (Memo.current ()) else None);
-  }
+let env () = { e_spec = Obs.Scope.spec (); e_budget = Budget.snapshot () }
 
 type open_scope = {
   os_scope : Obs.Scope.handle;
   os_satlog_prev : Engine.Sat_log.saved;
   os_budget_prev : Budget.saved;
-  os_memo_prev : Memo.saved;
 }
 
 let open_task (e : env) : open_scope =
-  let os_memo_prev = Memo.save () in
-  (match e.e_memo_base with
-  | Some base -> Memo.install_overlay ~base ()
-  | None -> Memo.install_overlay ~capacity:0 ());
   let os_budget_prev = Budget.save () in
   Budget.adopt e.e_budget;
   let os_satlog_prev = Engine.Sat_log.save_fresh () in
   let os_scope = Obs.Scope.install e.e_spec in
-  { os_scope; os_satlog_prev; os_budget_prev; os_memo_prev }
+  { os_scope; os_satlog_prev; os_budget_prev }
 
 type capture = {
   c_scope : Obs.Scope.capture;
   c_satlog : Engine.Sat_log.snapshot;
   c_budget : Budget.worker_outcome;
-  c_memo : Memo.snapshot;
 }
 
 let close_task (os : open_scope) : capture =
@@ -64,9 +46,7 @@ let close_task (os : open_scope) : capture =
   Engine.Sat_log.restore os.os_satlog_prev;
   let c_budget = Budget.capture_worker () in
   Budget.restore os.os_budget_prev;
-  let c_memo = Memo.capture_overlay () in
-  Memo.restore os.os_memo_prev;
-  { c_scope; c_satlog; c_budget; c_memo }
+  { c_scope; c_satlog; c_budget }
 
 (* Even a raising task must put the executing domain's state back —
    losing the coordinator's SAT log or budget to a worker exception
@@ -83,5 +63,4 @@ let with_task (e : env) (f : unit -> 'a) : 'a * capture =
 let merge (c : capture) =
   let offset = Engine.Sat_log.absorb c.c_satlog in
   Obs.Scope.merge (Obs.Scope.map_queries (fun q -> q + offset) c.c_scope);
-  Memo.absorb c.c_memo;
   Budget.merge_worker c.c_budget

@@ -4,20 +4,19 @@
     [optimize] request loads a circuit (through the caller-supplied
     loader — this library never depends on the HDL frontend), runs the
     smartly flow with per-job {!Engine.Sat_log}/{!Budget} scoping, and
-    answers with a [smartly-report-v1] job report.  Two warm caches
-    persist across jobs: the {!Memo} verdict store (recurring queries
-    skip their sim/SAT rung) and the {!Replay} task cache (recurring
-    muxtree tasks — stamped-out variants of one design — replay their
-    recorded edit sets without re-running at all).  That cross-job
-    state is the effect the [jobs_per_sec] bench section measures.
+    answers with a [smartly-report-v1] job report.  The {!Replay} task
+    cache persists across jobs: recurring muxtree tasks — stamped-out
+    variants of one design — replay their recorded edit sets without
+    re-running at all.  That cross-job state is the effect the
+    [jobs_per_sec] bench section measures.
 
     Protocol (one JSON object per line, one response per line):
     {v
     {"op":"optimize","id":ID?,"kind":K?,"source":S,
-     "jobs":N?,"budget_ms":B?,"portfolio":P?}   -> job report
-    {"op":"ping"}                               -> {"op":"ping","status":"ok"}
-    {"op":"stats"}                              -> counters + warm-memo state
-    {"op":"shutdown"}                           -> ack, then the loop returns
+     "jobs":N?,"budget_ms":B?}     -> job report
+    {"op":"ping"}                  -> {"op":"ping","status":"ok"}
+    {"op":"stats"}                 -> counters + replay-store state
+    {"op":"shutdown"}              -> ack, then the loop returns
     v}
     Malformed lines get [{"status":"error",...}] and the daemon keeps
     serving — one bad job must not take down the batch. *)
@@ -30,12 +29,13 @@ type load = kind:string -> string -> (Circuit.t, string) result
     and ["verilog"] (path to a source file). *)
 
 type t
-(** A daemon instance: base config, loader, warm memo store, job
+(** A daemon instance: base config, loader, warm replay store, job
     counters. *)
 
 val create : ?cfg:Config.t -> load:load -> unit -> t
 (** [cfg] (default {!Config.default}) is the base for every job;
-    requests override [jobs], [portfolio] and [pass_budget_ms] per job.
+    requests override [jobs] (capped at {!Pool.recommended_jobs}) and
+    [pass_budget_ms] per job.
     Jobs always run the task path: when neither the request nor [cfg]
     sets [jobs], the daemon uses [jobs = 1] — the warm replay cache
     only engages there, and its output is schedule-invariant. *)

@@ -2,10 +2,10 @@
     (paper Section II).
 
     Control ports contribute their distance-k fanin cones; sequential cells
-    are excluded so the sub-graph stays a DAG.  {!prune} applies Theorem
-    II.1: signals can only affect each other when their fanin cones share a
-    source, so gates in groups unrelated to any known signal (or the
-    target) are dismissed. *)
+    are excluded so the sub-graph stays a DAG.  A query's sub-graph holds
+    the cones of exactly its relevant bits, so every gate shares a fanin
+    source with one of them: the paper's Theorem II.1 prune would keep
+    them all, and queries run on the whole sub-graph. *)
 
 open Netlist
 
@@ -21,17 +21,10 @@ val size : t -> int
 
 val cell_ids : t -> int list
 
-(** A pruned, topologically ordered view ready for querying. *)
+(** A topologically ordered view ready for querying. *)
 type view = {
   cells : int list;  (** drivers first *)
   sources : Bits.bit list;  (** bits read but not driven inside *)
-  kept : int;
-  dropped : int;  (** cells dismissed by the Theorem II.1 grouping *)
 }
 
-val prune : t -> relevant:Bits.bit list -> view
-(** Keep only the gates grouped (by shared fanin sources) with at least one
-    relevant bit. *)
-
-val full_view : t -> view
-(** No pruning (for the ablation). *)
+val view : t -> view

@@ -1024,7 +1024,7 @@ module Provenance = struct
      single match on a ref and records nothing, so instrumented passes pay
      nothing in normal runs. *)
 
-  type mechanism = Pruned | Rule of string | Sat | Memo | Analysis | Restructure
+  type mechanism = Pruned | Rule of string | Sat | Restructure
 
   type kind =
     | Cell_removed
@@ -1120,16 +1120,12 @@ module Provenance = struct
     | Pruned -> "pruned"
     | Rule r -> "rule:" ^ r
     | Sat -> "sat"
-    | Memo -> "memo"
-    | Analysis -> "analysis"
     | Restructure -> "restructure"
 
   let mechanism_of_name s =
     match s with
     | "pruned" -> Some Pruned
     | "sat" -> Some Sat
-    | "memo" -> Some Memo
-    | "analysis" -> Some Analysis
     | "restructure" -> Some Restructure
     | _ ->
       let prefix = "rule:" in

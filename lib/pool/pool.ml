@@ -50,9 +50,14 @@ let steal dq =
   Mutex.unlock dq.m;
   r
 
+let recommended_jobs () = Domain.recommended_domain_count ()
+
 let run ~jobs ~(init : unit -> 'w) ~(task : 'w -> int -> 'r) (n : int) :
     'r array =
-  let jobs = max 1 jobs in
+  (* [jobs] comes from the command line and from serve requests; more
+     workers than cores buys nothing, and past the runtime's domain limit
+     [Domain.spawn] would raise with siblings already running *)
+  let jobs = max 1 (min jobs (recommended_jobs ())) in
   if n = 0 then [||]
   else if jobs = 1 then begin
     (* inline, but with the same failure contract as the parallel path:
@@ -134,30 +139,3 @@ let run ~jobs ~(init : unit -> 'w) ~(task : 'w -> int -> 'r) (n : int) :
       results
   end
 
-(* Portfolio racing: run each candidate on its own domain, first [Some]
-   wins, and the stop predicate handed to every candidate turns true so
-   the losers can abandon their solve at the next poll.  All domains are
-   joined before returning — no candidate outlives the race.  Inherently
-   schedule-dependent, which is why the optimizer only engages it behind
-   an explicit opt-in. *)
-let race (candidates : ((unit -> bool) -> 'a option) list) : 'a option =
-  match candidates with
-  | [] -> None
-  | [ f ] -> f (fun () -> false)
-  | first :: rest ->
-    let stop = Atomic.make false in
-    let winner = Atomic.make None in
-    let attempt f () =
-      match f (fun () -> Atomic.get stop) with
-      | Some r ->
-        if Atomic.compare_and_set winner None (Some r) then
-          Atomic.set stop true
-      | None -> ()
-      | exception _ -> ()
-    in
-    let domains = List.map (fun f -> Domain.spawn (attempt f)) rest in
-    attempt first ();
-    List.iter Domain.join domains;
-    Atomic.get winner
-
-let recommended_jobs () = Domain.recommended_domain_count ()

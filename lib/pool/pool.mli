@@ -8,28 +8,21 @@
 val run :
   jobs:int -> init:(unit -> 'w) -> task:('w -> int -> 'r) -> int -> 'r array
 (** [run ~jobs ~init ~task n] evaluates [task w i] for every
-    [i < n] across [min jobs n] workers (the calling domain included)
-    and returns the results indexed by task.  Each worker calls [init]
-    once to build its private state [w] — per-worker SAT session, memo
-    overlay, circuit copy — before taking tasks from its round-robin
-    seeded deque, stealing from siblings when its own runs dry.
+    [i < n] across [min jobs n (recommended_jobs ())] workers (the
+    calling domain included) and returns the results indexed by task.
+    Each worker calls [init] once to build its private state [w] —
+    per-worker SAT session, circuit copy — before taking tasks from its
+    round-robin seeded deque, stealing from siblings when its own runs
+    dry.
 
-    [jobs <= 1] runs every task inline on the calling domain, no spawn.
+    [jobs <= 1] (or a one-core machine) runs every task inline on the
+    calling domain, no spawn.
 
     If tasks raise, every remaining task still runs, then the exception
     of the lowest-indexed failing task is re-raised with its original
     backtrace — the same exception a sequential left-to-right execution
     would have surfaced first. *)
 
-val race : ((unit -> bool) -> 'a option) list -> 'a option
-(** [race candidates] runs every candidate concurrently on its own
-    domain, passing each a stop predicate that turns true once some
-    candidate returned [Some].  First (in wall-clock) [Some] wins;
-    candidates should poll the predicate and bail out with [None] when
-    it fires.  All domains are joined before the winner is returned; a
-    raising candidate just loses.  A single candidate runs inline with a
-    never-true predicate. *)
-
 val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — what [--jobs 0] resolves
-    to. *)
+(** [Domain.recommended_domain_count ()] — the cap {!run} puts on
+    [jobs]. *)

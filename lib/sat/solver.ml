@@ -519,7 +519,7 @@ type solve_outcome = result
    consequences of the problem clauses, so any extension that satisfies
    the problem clauses satisfies them too).  Without it every variable is
    assigned, as a plain CDCL solver does. *)
-let search s ~assumptions ~budget ~relevant ~interrupt : solve_outcome =
+let search s ~assumptions ~budget ~relevant : solve_outcome =
   let assumptions = Array.of_list assumptions in
   let n_ass = Array.length assumptions in
   let nof_conflicts = ref 100.0 in
@@ -545,12 +545,7 @@ let search s ~assumptions ~budget ~relevant ~interrupt : solve_outcome =
         | Some b when s.conflicts >= b ->
           cancel_until s 0;
           Unknown
-        | Some _ | None ->
-          if interrupt () then begin
-            cancel_until s 0;
-            Unknown
-          end
-          else loop ()
+        | Some _ | None -> loop ()
       end
     | None ->
       if float_of_int !conflicts_this_restart >= !nof_conflicts then begin
@@ -599,10 +594,6 @@ let search s ~assumptions ~budget ~relevant ~interrupt : solve_outcome =
           !best
       in
       if v < 0 then Sat
-      else if interrupt () then begin
-        cancel_until s 0;
-        Unknown
-      end
       else begin
         s.decisions <- s.decisions + 1;
         new_decision_level s;
@@ -616,7 +607,7 @@ let search s ~assumptions ~budget ~relevant ~interrupt : solve_outcome =
 
 (* Wrapped so every path through [solve] records the per-call deltas the
    engine's per-query telemetry reads back via [last_solve_stats]. *)
-let solve_raw ?(assumptions = []) ?budget ?relevant ?interrupt s : result =
+let solve_raw ?(assumptions = []) ?budget ?relevant s : result =
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
@@ -628,10 +619,7 @@ let solve_raw ?(assumptions = []) ?budget ?relevant ?interrupt s : result =
       (* make the caller's budget per-call: cap at current + budget *)
       let budget = Option.map (fun b -> s.conflicts + b) budget in
       let relevant = Option.map Array.of_list relevant in
-      let interrupt =
-        match interrupt with Some f -> f | None -> fun () -> false
-      in
-      let r = search s ~assumptions ~budget ~relevant ~interrupt in
+      let r = search s ~assumptions ~budget ~relevant in
       (match r with
       | Sat -> () (* keep trail so the model can be read *)
       | Unsat | Unknown -> cancel_until s 0);
@@ -645,10 +633,10 @@ type solve_stats = {
   wall_s : float;
 }
 
-let solve ?assumptions ?budget ?relevant ?interrupt (s : t) : result =
+let solve ?assumptions ?budget ?relevant (s : t) : result =
   let c0 = s.conflicts and d0 = s.decisions and p0 = s.propagations in
   let t0 = Obs.Clock.now () in
-  let r = solve_raw ?assumptions ?budget ?relevant ?interrupt s in
+  let r = solve_raw ?assumptions ?budget ?relevant s in
   s.last_conflicts <- s.conflicts - c0;
   s.last_decisions <- s.decisions - d0;
   s.last_propagations <- s.propagations - p0;

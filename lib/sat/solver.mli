@@ -25,7 +25,6 @@ val solve :
   ?assumptions:Lit.t list ->
   ?budget:int ->
   ?relevant:int list ->
-  ?interrupt:(unit -> bool) ->
   t ->
   result
 (** Solve under the given assumption literals.  [budget] caps the number
@@ -36,10 +35,6 @@ val solve :
     [Unsat] answer leaves the solver reusable; only a contradiction at
     decision level 0 (the formula itself is unsatisfiable) makes every
     later call answer [Unsat].
-
-    [interrupt] is polled at every conflict and decision; once it returns
-    [true] the call stops with [Unknown], leaving the solver reusable.
-    The portfolio racer uses it to abandon the losing configuration.
 
     [relevant] restricts decisions to the given variables and stops with
     [Sat] (a {e partial} model — other variables keep their phase-saved

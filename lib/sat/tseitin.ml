@@ -249,11 +249,11 @@ type solve_info = { last_target_lit : Lit.t; last_result : Solver.result }
 
 (* Is [target] forced to a constant under [assumptions]?  Checks
    SAT(target=0) and SAT(target=1). *)
-let query_forced_info ?budget ?relevant ?interrupt t ~assumptions
+let query_forced_info ?budget ?relevant t ~assumptions
     ~(target : Bits.bit) : query_result * solve_info =
   let tl = lit_of_bit t target in
   let can_be_true =
-    Solver.solve ?budget ?relevant ?interrupt t.solver
+    Solver.solve ?budget ?relevant t.solver
       ~assumptions:(assumptions @ [ tl ])
   in
   match can_be_true with
@@ -266,7 +266,7 @@ let query_forced_info ?budget ?relevant ?interrupt t ~assumptions
        SAT rung agrees with exhaustive simulation on dead paths. *)
     let ntl = Lit.negate tl in
     let can_be_false =
-      Solver.solve ?budget ?relevant ?interrupt t.solver
+      Solver.solve ?budget ?relevant t.solver
         ~assumptions:(assumptions @ [ ntl ])
     in
     let info = { last_target_lit = ntl; last_result = can_be_false } in
@@ -277,7 +277,7 @@ let query_forced_info ?budget ?relevant ?interrupt t ~assumptions
   | Solver.Sat -> (
     let ntl = Lit.negate tl in
     let can_be_false =
-      Solver.solve ?budget ?relevant ?interrupt t.solver
+      Solver.solve ?budget ?relevant t.solver
         ~assumptions:(assumptions @ [ ntl ])
     in
     let info = { last_target_lit = ntl; last_result = can_be_false } in
@@ -286,6 +286,6 @@ let query_forced_info ?budget ?relevant ?interrupt t ~assumptions
     | Solver.Unsat -> Forced true, info
     | Solver.Sat -> Free, info)
 
-let query_forced ?budget ?relevant ?interrupt t ~assumptions ~target :
+let query_forced ?budget ?relevant t ~assumptions ~target :
     query_result =
-  fst (query_forced_info ?budget ?relevant ?interrupt t ~assumptions ~target)
+  fst (query_forced_info ?budget ?relevant t ~assumptions ~target)

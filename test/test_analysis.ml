@@ -7,12 +7,9 @@
    seeded with facts observed in a real execution (so a witness exists
    by construction and Contradiction is unsound).  Derived cell facts
    (the NL010..NL013 backend) are checked against brute force over all
-   input assignments, and the engine's rung zero is checked end to end:
-   the optimized netlist must be identical with the rung on and off. *)
+   input assignments. *)
 
 open Netlist
-
-let check_bool = Alcotest.(check bool)
 
 (* --- random mixed-width circuits --- *)
 
@@ -255,47 +252,6 @@ let prop_facts_sound =
         done;
         !ok)
 
-(* --- end-to-end: rung zero must never change the result --- *)
-
-let canonical (c : Circuit.t) =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun id ->
-      Buffer.add_string buf (Fmt.str "%d %a\n" id Cell.pp (Circuit.cell c id)))
-    (Circuit.cell_ids c);
-  Buffer.contents buf
-
-(* The rung sits before memo/sim/SAT and only answers queries those rungs
-   would answer identically, so the optimized netlist must be the same
-   cell for cell — with the per-pass invariant checker watching both
-   runs, like `opt --check-invariants`. *)
-let test_e2e_netlist_identity () =
-  let run ~analysis ~memo =
-    let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
-    let t = Lint.Invariant.create c in
-    let cfg =
-      {
-        Smartly.Config.default with
-        Smartly.Config.enable_analysis = analysis;
-        enable_sat_memo = memo;
-      }
-    in
-    Smartly.Memo.reset ();
-    ignore
-      (Smartly.Driver.smartly ~cfg
-         ~after_pass:(fun name c' -> Lint.Invariant.after_pass t name c')
-         c);
-    (match Lint.Invariant.failure t with
-    | None -> ()
-    | Some f ->
-      Alcotest.fail (Fmt.str "invariant: %a" Lint.Invariant.pp_failure f));
-    canonical c
-  in
-  let all_on = run ~analysis:true ~memo:true in
-  let all_off = run ~analysis:false ~memo:false in
-  check_bool "netlists identical with rung zero on and off" true
-    (all_on = all_off)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -305,9 +261,4 @@ let () =
             prop_unseeded_containment; prop_seeded_containment;
             prop_facts_sound;
           ] );
-      ( "e2e",
-        [
-          Alcotest.test_case "netlist identity, invariants on" `Slow
-            test_e2e_netlist_identity;
-        ] );
     ]

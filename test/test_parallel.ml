@@ -14,12 +14,11 @@ let profile name =
   | Some p -> p
   | None -> Alcotest.failf "unknown profile %s" name
 
-(* One cold flow run: fresh telemetry, fresh memo, no replay store.
+(* One cold flow run: fresh telemetry, no replay store.
    Returns (netlist digest, area, sorted provenance lines). *)
 let run_flow ?(jobs = None) ?(replay = false) c0 =
   let c = Circuit.copy c0 in
   let cfg = { Smartly.Config.default with Smartly.Config.jobs } in
-  Smartly.Memo.reset ();
   Smartly.Engine.Sat_log.reset ();
   Smartly.Budget.reset ();
   if not replay then Smartly.Replay.uninstall ();
@@ -61,7 +60,6 @@ let test_jobs_determinism () =
 let test_task_path_vs_legacy_valid () =
   let c0 = Lazy.force corpus in
   let c = Circuit.copy c0 in
-  Smartly.Memo.reset ();
   Smartly.Replay.uninstall ();
   ignore (Smartly.Driver.smartly c);
   check_bool "legacy optimizes" true

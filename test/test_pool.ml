@@ -1,6 +1,6 @@
 (* Work-stealing domain pool tests: result indexing across worker
-   counts, per-worker init, deterministic exception propagation, and
-   portfolio racing. *)
+   counts, per-worker init, deterministic exception propagation, and the
+   cap on the worker count. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -45,9 +45,11 @@ let test_worker_state () =
   let total = List.fold_left (fun acc seen -> acc + !seen) 0 distinct in
   check_int "all tasks ran on some worker" 12 total;
   check_bool "workers <= jobs" true (List.length distinct <= 3);
-  (* min(jobs, n) workers each init once; on a loaded box some may
-     lose every race for a task, so distinct states can be fewer *)
-  check_int "inits = min jobs n" 3 (Atomic.get inits)
+  (* min(jobs, n, cores) workers each init once; on a loaded box some
+     may lose every race for a task, so distinct states can be fewer *)
+  check_int "inits = min jobs n cores"
+    (min 3 (Pool.recommended_jobs ()))
+    (Atomic.get inits)
 
 (* The lowest-indexed failing task's exception surfaces — the same one a
    sequential left-to-right run would raise first — and the other tasks
@@ -71,44 +73,19 @@ let test_exception_order () =
           ran)
     [ 1; 4 ]
 
-(* --- race --- *)
-
-let test_race_single_inline () =
-  match Pool.race [ (fun stop -> if stop () then None else Some 42) ] with
-  | Some v -> check_int "inline winner" 42 v
-  | None -> Alcotest.fail "single candidate must win"
-
-let test_race_winner () =
-  (* the fast candidate wins; the slow one observes the stop flag and
-     bails out instead of spinning forever *)
-  let bailed = Atomic.make false in
-  let fast _stop = Some "fast" in
-  let slow stop =
-    let rec spin n =
-      if stop () then begin
-        Atomic.set bailed true;
-        None
-      end
-      else if n = 0 then Some "slow"
-      else spin (n - 1)
-    in
-    spin max_int
+(* A worker count from outside (serve's "jobs", --jobs) is capped at the
+   core count: one init per worker, so [init] runs at most that often. *)
+let test_jobs_clamped () =
+  let inits = Atomic.make 0 in
+  let r =
+    Pool.run ~jobs:1_000_000
+      ~init:(fun () -> Atomic.incr inits)
+      ~task:(fun () i -> i)
+      8
   in
-  (match Pool.race [ slow; fast ] with
-  | Some w -> check_bool "some candidate won" true (w = "fast" || w = "slow")
-  | None -> Alcotest.fail "a candidate returned Some");
-  check_bool "race joined" true true
-
-let test_race_all_none () =
-  check_bool "no winner" true
-    (Pool.race [ (fun _ -> None); (fun _ -> None) ] = None);
-  check_bool "empty race" true (Pool.race [] = None)
-
-let test_race_loser_exception () =
-  (* a raising candidate just loses *)
-  match Pool.race [ (fun _ -> failwith "boom"); (fun _ -> Some 1) ] with
-  | Some 1 -> ()
-  | _ -> Alcotest.fail "surviving candidate must win"
+  check_int "all tasks ran" 8 (Array.length r);
+  check_bool "inits <= recommended_jobs" true
+    (Atomic.get inits <= Pool.recommended_jobs ())
 
 let test_recommended_jobs () =
   check_bool "positive" true (Pool.recommended_jobs () >= 1)
@@ -122,14 +99,7 @@ let () =
           Alcotest.test_case "zero tasks" `Quick test_zero_tasks;
           Alcotest.test_case "worker state" `Quick test_worker_state;
           Alcotest.test_case "exception order" `Quick test_exception_order;
-        ] );
-      ( "race",
-        [
-          Alcotest.test_case "single inline" `Quick test_race_single_inline;
-          Alcotest.test_case "winner" `Quick test_race_winner;
-          Alcotest.test_case "all none" `Quick test_race_all_none;
-          Alcotest.test_case "loser exception" `Quick
-            test_race_loser_exception;
+          Alcotest.test_case "jobs clamped to cores" `Quick test_jobs_clamped;
           Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs;
         ] );
     ]

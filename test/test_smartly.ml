@@ -1,4 +1,5 @@
-(* Tests for the smaRTLy core: sub-graph extraction and pruning, inference
+(* Tests for the smaRTLy core: sub-graph extraction (and the reference
+   Theorem II.1 prune in prune_ref.ml), inference
    rules, the sim/SAT engine, SAT-based redundancy elimination, and muxtree
    restructuring.  Every optimized circuit is CEC'd against the original. *)
 
@@ -174,7 +175,7 @@ let test_contradiction () =
     | _ -> false
     | exception Smartly.Inference.Contradiction -> true)
 
-(* --- sub-graph extraction and Theorem II.1 pruning --- *)
+(* --- sub-graph extraction and the reference Theorem II.1 prune --- *)
 
 let test_subgraph_cone_depth () =
   (* chain of 5 nots; distance k=3 catches only 3 of them *)
@@ -204,12 +205,12 @@ let test_subgraph_prune_unrelated () =
   Smartly.Subgraph.add_cone sg ~k:4 t1;
   Smartly.Subgraph.add_cone sg ~k:4 t2;
   check_int "both in" 2 (Smartly.Subgraph.size sg);
-  let v = Smartly.Subgraph.prune sg ~relevant:[ t1 ] in
-  check_int "kept 1" 1 v.Smartly.Subgraph.kept;
-  check_int "dropped 1" 1 v.Smartly.Subgraph.dropped;
+  let v = Prune_ref.prune c index sg ~relevant:[ t1 ] in
+  check_int "kept 1" 1 (List.length v.Prune_ref.kept);
+  check_int "dropped 1" 1 v.Prune_ref.dropped;
   (* related signals stay together *)
-  let v2 = Smartly.Subgraph.prune sg ~relevant:[ t1; Circuit.bit_of_wire x ] in
-  check_int "kept both" 2 v2.Smartly.Subgraph.kept
+  let v2 = Prune_ref.prune c index sg ~relevant:[ t1; Circuit.bit_of_wire x ] in
+  check_int "kept both" 2 (List.length v2.Prune_ref.kept)
 
 let test_subgraph_no_common_descendant_link () =
   (* s and t only share a *descendant*: they must land in different groups *)
@@ -225,8 +226,63 @@ let test_subgraph_no_common_descendant_link () =
   Smartly.Subgraph.add_cone sg ~k:4 s2;
   Smartly.Subgraph.add_cone sg ~k:4 t2;
   (* note: the and-join is NOT in the subgraph (not in either cone) *)
-  let v = Smartly.Subgraph.prune sg ~relevant:[ s2 ] in
-  check_int "t's not is pruned" 1 v.Smartly.Subgraph.kept
+  let v = Prune_ref.prune c index sg ~relevant:[ s2 ] in
+  check_int "t's not is pruned" 1 (List.length v.Prune_ref.kept)
+
+(* Why the optimizer does not prune: when the sub-graph is the union of
+   the cones of exactly the relevant bits — how the engine and the data
+   folding build every query's — each cell reaches a relevant bit through
+   cells of the view, so it shares every source it reads with that bit.
+   The prune then keeps every cell that reads a non-constant source;
+   only cells over constants alone could go, and opt_expr folds those
+   before sat_elim runs. *)
+let prop_prune_keeps_sourced_cells =
+  let open QCheck in
+  let arb =
+    quad
+      (pair small_nat (int_range 1 6))
+      (list_of_size (Gen.int_range 1 16)
+         (quad small_nat small_nat small_nat small_nat))
+      (small_list small_nat) small_nat
+  in
+  Test.make ~count:400 ~name:"prune keeps every sourced cell of a cone view"
+    arb (fun ((n_inputs, k), ops, knowns, target) ->
+      let c = Circuit.create "cones" in
+      let nodes = ref [ Bits.C1; Bits.C0 ] in
+      for i = 0 to n_inputs mod 5 do
+        nodes :=
+          Circuit.bit_of_wire (Circuit.add_input c (Printf.sprintf "i%d" i) ~width:1)
+          :: !nodes
+      done;
+      let node i = List.nth !nodes (i mod List.length !nodes) in
+      List.iter
+        (fun (kind, a, b, sel) ->
+          let x = node a and y = node b in
+          let r =
+            match kind mod 6 with
+            | 0 -> Circuit.mk_and c x y
+            | 1 -> Circuit.mk_or c x y
+            | 2 -> Circuit.mk_xor c x y
+            | 3 -> Circuit.mk_not c x
+            | 4 -> (Circuit.mk_mux c ~a:[| x |] ~b:[| y |] ~s:(node sel)).(0)
+            | _ -> (Circuit.mk_dff c ~d:[| x |]).(0)
+          in
+          nodes := r :: !nodes)
+        ops;
+      let relevant = List.map node (target :: knowns) in
+      let index = Index.build c in
+      let sg = Smartly.Subgraph.create c index in
+      List.iter (Smartly.Subgraph.add_cone sg ~k) relevant;
+      let ids = (Smartly.Subgraph.view sg).Smartly.Subgraph.cells in
+      let sup = Prune_ref.supports c index ids in
+      let kept = (Prune_ref.prune c index sg ~relevant).Prune_ref.kept in
+      List.for_all
+        (fun id ->
+          match Cell.output_bits (Circuit.cell c id) with
+          | o :: _ when not (Bits.Bit_set.is_empty (Bits.Bit_tbl.find sup o)) ->
+            List.mem id kept
+          | _ -> true)
+        ids)
 
 (* --- engine --- *)
 
@@ -545,6 +601,7 @@ let () =
           Alcotest.test_case "prune unrelated" `Quick test_subgraph_prune_unrelated;
           Alcotest.test_case "no common-descendant link" `Quick
             test_subgraph_no_common_descendant_link;
+          QCheck_alcotest.to_alcotest prop_prune_keeps_sourced_cells;
         ] );
       ( "engine",
         [
