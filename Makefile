@@ -71,10 +71,13 @@ bench-baselines: build
 # lints and equivalence-checks the circuit after every pass, and then
 # once more on the sharded task path (--jobs 2) with the full
 # equivalence check, proving the parallel scheduler's netlist against
-# the original.  A serve smoke follows: a 4-line JSONL batch (two
-# identical jobs, one sharded, one shutdown) through the stdio daemon,
-# with the per-job smartly-report-v1 stream kept as an artifact and
-# parse-validated.  Finally
+# the original.  A serve smoke follows: a 6-line JSONL batch (two
+# identical jobs, one sharded, one whose Verilog has a combinational
+# loop, a ping and a shutdown) through the stdio daemon, with the
+# per-job smartly-report-v1 stream kept as an artifact and
+# parse-validated.  The cyclic job must answer status "error" and the
+# ping and shutdown after it must still answer "ok": one bad job may
+# not take the daemon down.  Finally
 # the run-ledger surface: a deliberately budget-starved run (1 ms per
 # pass) must still exit 0 with its netlist equivalence-checking — the
 # watchdog degrades, never crashes — and `smartly report` must render
@@ -102,11 +105,19 @@ ci: build
 	  '{"op":"optimize","id":"ci-1","kind":"profile","source":"mux_chain"}' \
 	  '{"op":"optimize","id":"ci-2","kind":"profile","source":"mux_chain"}' \
 	  '{"op":"optimize","id":"ci-3","kind":"profile","source":"riscv","jobs":2}' \
+	  '{"op":"optimize","id":"ci-loop","kind":"verilog","source":"test/data/comb_loop.v"}' \
+	  '{"op":"ping"}' \
 	  '{"op":"shutdown"}' \
 	  | dune exec bin/smartly_cli.exe -- serve \
 	  > /tmp/smartly_serve_reports.jsonl
 	dune exec bin/smartly_cli.exe -- validate-json \
 	  /tmp/smartly_serve_reports.jsonl
+	sed -n 4p /tmp/smartly_serve_reports.jsonl \
+	  | grep -q '"id":"ci-loop","status":"error"' \
+	  || { echo "ci: the cyclic serve job must answer status error"; exit 1; }
+	test "$$(sed -n '5,$$p' /tmp/smartly_serve_reports.jsonl \
+	  | grep -c '"status":"ok"')" = 2 \
+	  || { echo "ci: serve must keep answering ok after a failed job"; exit 1; }
 	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly \
 	  --json --trace /tmp/smartly_trace.json \
 	  --provenance /tmp/smartly_prov.jsonl \

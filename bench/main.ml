@@ -790,8 +790,7 @@ let figures () =
   ignore (Rtl_opt.Opt_expr.run c);
   match Smartly.Muxtree.find_all c with
   | [ flat ] ->
-    let index = Index.build c in
-    let d = Smartly.Restructure.evaluate c index flat in
+    let d = Smartly.Restructure.evaluate c flat in
     Printf.printf
       "  rows=%d selector_bits=%d  greedy tree: %d muxes (height %d)\n"
       (List.length flat.Smartly.Muxtree.rows)

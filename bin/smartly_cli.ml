@@ -150,10 +150,22 @@ let ledger_root_arg =
     & info [ "ledger-root" ] ~docv:"DIR"
         ~doc:"Run-ledger root directory (default $(b,.smartly/runs)).")
 
+(* Budgets and worker counts below 1 are usage errors: a budget of 0 or
+   less puts every pass's deadline in the past and truncates the whole
+   flow without a word, and the pool would silently run one worker. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let pass_budget_ms_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "pass-budget-ms" ] ~docv:"MS"
         ~doc:
           "Wall-time budget per optimization pass (smartly-family flows). \
@@ -174,7 +186,7 @@ let pass_alloc_budget_mw_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Shard independent muxtrees across N worker domains \
@@ -1633,7 +1645,7 @@ let serve_cmd =
   let budget_ms_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "budget-ms" ] ~docv:"MS"
           ~doc:
             "Default per-pass wall budget (the watchdog of smartly opt's \

@@ -47,8 +47,7 @@ let () =
   ignore (Rtl_opt.Opt_expr.run circuit);
   (match Smartly.Muxtree.find_all circuit with
   | [ flat ] ->
-    let index = Index.build circuit in
-    let d = Smartly.Restructure.evaluate circuit index flat in
+    let d = Smartly.Restructure.evaluate circuit flat in
     Printf.printf
       "muxtree found: %d rows over %d opcode bits; greedy ADD tree: %d \
        muxes,\nheight %d, %d eq gates removable, est. saving %d AIG nodes\n"

@@ -116,6 +116,7 @@ let smartly ?(cfg = Config.default) ?(after_pass = fun _ _ -> ())
     end
   in
   let iterations = loop 0 in
+  Circuit.drop_links c;
   Obs.Metrics.add m_iterations iterations;
   {
     iterations;

@@ -71,9 +71,8 @@ let constraints_of_eq (a : Bits.sigspec) (b : Bits.sigspec) :
 
 (* Recognize the driver cone of select bit [s] as a disjunction of
    constraint patterns (eq-with-const, logic_not, or-of-those). *)
-let rec recognize_select (c : Circuit.t) (index : Index.t) (s : Bits.bit) :
-    select_info option =
-  match Index.driving_cell index s with
+let rec recognize_select (c : Circuit.t) (s : Bits.bit) : select_info option =
+  match Circuit.driver c s with
   | None -> None
   | Some (id, _) -> (
     match Circuit.cell_opt c id with
@@ -91,10 +90,10 @@ let rec recognize_select (c : Circuit.t) (index : Index.t) (s : Bits.bit) :
       | pattern -> Some { patterns = [ pattern ]; cells = [ id ] }
       | exception Not_found -> None)
     | Some (Cell.Binary { op = Cell.Or; a; b; y }) when Bits.width y = 1 -> (
-      match recognize_select c index a.(0) with
+      match recognize_select c a.(0) with
       | None -> None
       | Some left -> (
-        match recognize_select c index b.(0) with
+        match recognize_select c b.(0) with
         | None -> None
         | Some right ->
           Some
@@ -106,28 +105,25 @@ let rec recognize_select (c : Circuit.t) (index : Index.t) (s : Bits.bit) :
         (Cell.Binary _ | Cell.Unary _ | Cell.Mux _ | Cell.Pmux _ | Cell.Dff _)
       -> None)
 
-(* --- tree flattening --- *)
+(* --- tree flattening ---
 
-type deps = {
-  circuit : Circuit.t;
-  index : Index.t;
-  readers : Rtl_opt.Opt_muxtree.readers;
-}
+   Everything here reads the circuit's live driver and reader maps, so a
+   tree is always judged on the netlist as the previous rebuild left it. *)
 
 (* Is [cell] a dedicated child of the given location? *)
-let dedicated_to deps loc cell =
-  match Rtl_opt.Opt_muxtree.dedicated_location deps.readers cell with
+let dedicated_to c loc cell =
+  match Rtl_opt.Opt_muxtree.dedicated_location c cell with
   | Some l -> l = loc
   | None -> false
 
 (* The mux driving all bits of [port] as a dedicated child at [loc]. *)
-let child_mux deps ~loc (port : Bits.sigspec) : int option =
-  match Index.driving_cell deps.index port.(0) with
+let child_mux c ~loc (port : Bits.sigspec) : int option =
+  match Circuit.driver c port.(0) with
   | None -> None
   | Some (id, _) -> (
-    match Circuit.cell_opt deps.circuit id with
+    match Circuit.cell_opt c id with
     | Some (Cell.Mux { y; _ } as cell) ->
-      if Bits.equal y port && dedicated_to deps loc cell then Some id
+      if Bits.equal y port && dedicated_to c loc cell then Some id
       else None
     | Some
         (Cell.Pmux _ | Cell.Unary _ | Cell.Binary _ | Cell.Dff _)
@@ -147,20 +143,21 @@ let normalize_cons = function
    the paper's SingleCtrl condition (all selector bits from one wire);
    disabling it is this implementation's extension, allowing rebuilds of
    priority chains over several independent condition signals. *)
-let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
+let flatten ?(single_ctrl = true) (c : Circuit.t) (root_id : int) :
+    flat option =
   let tree_cells = ref [] in
   let select_cells = ref [] in
   let rec go (id : int) : crow list * Bits.sigspec =
-    match Circuit.cell_opt deps.circuit id with
+    match Circuit.cell_opt c id with
     | Some (Cell.Mux { a; b; s; _ }) -> (
       tree_cells := id :: !tree_cells;
-      match recognize_select deps.circuit deps.index s with
+      match recognize_select c s with
       | None -> raise Not_a_tree
       | Some info ->
         select_cells := info.cells @ !select_cells;
         (* rows for the b side (taken when a pattern matches) *)
         let rows_b =
-          match child_mux deps ~loc:(id, Rtl_opt.Opt_muxtree.Side_b 0) b with
+          match child_mux c ~loc:(id, Rtl_opt.Opt_muxtree.Side_b 0) b with
           | Some cid ->
             let sub_rows, _sub_default = go cid in
             (* sound only if the subtree's patterns exactly cover this
@@ -177,7 +174,7 @@ let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
             List.map (fun cons -> { cons; cvalue = b }) info.patterns
         in
         let rows_a, default =
-          match child_mux deps ~loc:(id, Rtl_opt.Opt_muxtree.Side_a) a with
+          match child_mux c ~loc:(id, Rtl_opt.Opt_muxtree.Side_a) a with
           | Some cid -> go cid
           | None -> [], a
         in
@@ -188,7 +185,7 @@ let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
       let rows =
         List.concat
           (List.init (Bits.width s) (fun i ->
-               match recognize_select deps.circuit deps.index s.(i) with
+               match recognize_select c s.(i) with
                | None -> raise Not_a_tree
                | Some info ->
                  select_cells := info.cells @ !select_cells;
@@ -249,7 +246,7 @@ let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
     if n = 0 || n > 24 || List.length rows < 2 then None
     else begin
       let width =
-        Bits.width (Cell.output (Circuit.cell deps.circuit root_id))
+        Bits.width (Cell.output (Circuit.cell c root_id))
       in
       Some
         {
@@ -264,31 +261,22 @@ let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
     end
   | exception Not_a_tree -> None
 
-let make_deps (c : Circuit.t) =
-  {
-    circuit = c;
-    index = Index.build c;
-    readers = Rtl_opt.Opt_muxtree.collect_readers c;
-  }
-
-(* Re-flatten a single root against the given (current) dependencies. *)
-let flatten_root ?single_ctrl (deps : deps) (root_id : int) : flat option =
-  match Circuit.cell_opt deps.circuit root_id with
+(* Re-flatten a single root against the current circuit. *)
+let flatten_root ?single_ctrl (c : Circuit.t) (root_id : int) : flat option =
+  match Circuit.cell_opt c root_id with
   | None -> None
-  | Some _ -> flatten ?single_ctrl deps root_id
+  | Some _ -> flatten ?single_ctrl c root_id
 
 (* All rebuildable muxtrees of the circuit (roots are muxes that are not
    dedicated children themselves). *)
 let find_all ?single_ctrl (c : Circuit.t) : flat list =
-  let deps = make_deps c in
   List.filter_map
     (fun id ->
       let cell = Circuit.cell c id in
       match cell with
       | Cell.Mux _ | Cell.Pmux _ ->
-        if
-          Rtl_opt.Opt_muxtree.dedicated_location deps.readers cell = None
-        then flatten ?single_ctrl deps id
+        if Rtl_opt.Opt_muxtree.dedicated_location c cell = None then
+          flatten ?single_ctrl c id
         else None
       | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> None)
     (Circuit.cell_ids c)

@@ -21,22 +21,15 @@ type flat = {
   width : int;  (** data width *)
 }
 
-type deps = {
-  circuit : Circuit.t;
-  index : Index.t;
-  readers : Rtl_opt.Opt_muxtree.readers;
-}
-
-val make_deps : Circuit.t -> deps
-
-val flatten : ?single_ctrl:bool -> deps -> int -> flat option
+val flatten : ?single_ctrl:bool -> Circuit.t -> int -> flat option
 (** Flatten the tree rooted at the given mux cell.  [single_ctrl]
     (default [true]) enforces the paper's SingleCtrl condition — all
     selector bits from one wire; [false] additionally accepts chains over
     several independent condition signals (this implementation's
-    extension). *)
+    extension).  Dedication and select cones are read from the circuit's
+    live connectivity, so the result reflects every earlier edit. *)
 
-val flatten_root : ?single_ctrl:bool -> deps -> int -> flat option
+val flatten_root : ?single_ctrl:bool -> Circuit.t -> int -> flat option
 (** Like {!flatten} but tolerates a vanished root (returns [None]). *)
 
 val find_all : ?single_ctrl:bool -> Circuit.t -> flat list

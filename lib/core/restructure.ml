@@ -154,20 +154,19 @@ let old_mux_count (c : Circuit.t) (flat : Muxtree.flat) =
     0 flat.Muxtree.tree_cells
 
 (* Select cells whose outputs are read only inside this muxtree. *)
-let removable_selects (c : Circuit.t) (index : Index.t)
-    (flat : Muxtree.flat) : int list =
+let removable_selects (c : Circuit.t) (flat : Muxtree.flat) : int list =
   let inside = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace inside id ()) flat.Muxtree.tree_cells;
   List.iter (fun id -> Hashtbl.replace inside id ()) flat.Muxtree.select_cells;
   List.filter
     (fun id ->
       let y = Cell.output (Circuit.cell c id) in
-      (not (Array.exists (Rewire.is_port_bit c) y))
+      (not (Array.exists (Circuit.is_port_bit c) y))
       && Array.for_all
            (fun b ->
              List.for_all
                (fun rid -> Hashtbl.mem inside rid)
-               (Index.readers index b))
+               (Circuit.readers c b))
            y)
     flat.Muxtree.select_cells
 
@@ -182,8 +181,7 @@ type decision = {
 }
 
 (* Algorithm 1's Check. *)
-let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
-    decision =
+let evaluate (c : Circuit.t) (flat : Muxtree.flat) : decision =
   let bld = new_builder () in
   (* terminal ids: distinct leaf sigspecs (default = id 0) *)
   let terminals = ref [ flat.Muxtree.default ] in
@@ -206,7 +204,7 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
   let tree = build_greedy bld ~num_vars rows ~default:0 in
   let new_muxes = count_unique_nodes tree in
   let old_muxes = old_mux_count c flat in
-  let removable = removable_selects c index flat in
+  let removable = removable_selects c flat in
   let width = flat.Muxtree.width in
   let old_cost =
     (old_mux_count c flat * mux_cost ~width)
@@ -301,7 +299,8 @@ let run_once ?(min_saving = 1) ?(single_ctrl = true) (c : Circuit.t) : report =
   Obs.Trace.with_span "restructure.run_once" @@ fun () ->
   (* candidates are discovered once; each is re-flattened against the
      current circuit just before rebuilding, since rewiring one tree can
-     refresh the data leaves of another *)
+     refresh the data leaves of another.  The circuit's maintained maps
+     make "current" free: no rescan between trees. *)
   let roots =
     List.map (fun f -> f.Muxtree.root) (Muxtree.find_all ~single_ctrl c)
   in
@@ -309,35 +308,22 @@ let run_once ?(min_saving = 1) ?(single_ctrl = true) (c : Circuit.t) : report =
   let muxes_before = ref 0 in
   let muxes_after = ref 0 in
   let eq_removed = ref 0 in
-  let dirty = ref false in
-  let cached_deps = ref None in
-  let get_deps () =
-    match !cached_deps with
-    | Some d when not !dirty -> d
-    | Some _ | None ->
-      let d = Muxtree.make_deps c in
-      cached_deps := Some d;
-      dirty := false;
-      d
-  in
   List.iter
     (fun root ->
       if Budget.exhausted () then
         (* pass budget blown: leave the remaining trees as they are *)
         Budget.note_truncation ()
       else
-      let deps = get_deps () in
-      match Muxtree.flatten_root ~single_ctrl deps root with
+      match Muxtree.flatten_root ~single_ctrl c root with
       | None -> ()
       | Some flat ->
-        let d = evaluate c deps.Muxtree.index flat in
+        let d = evaluate c flat in
         Obs.Metrics.observe_int h_rows (List.length flat.Muxtree.rows);
         Obs.Metrics.observe_int h_chain_len d.old_muxes;
         Obs.Metrics.observe_int h_height d.height;
         muxes_before := !muxes_before + d.old_muxes;
         if d.saved_cost >= min_saving then begin
           rebuild c d;
-          dirty := true;
           incr rebuilt;
           muxes_after := !muxes_after + d.new_muxes;
           eq_removed := !eq_removed + List.length d.removable

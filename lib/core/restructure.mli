@@ -25,7 +25,7 @@ type decision = {
   height : int;
 }
 
-val evaluate : Circuit.t -> Index.t -> Muxtree.flat -> decision
+val evaluate : Circuit.t -> Muxtree.flat -> decision
 (** Algorithm 1's ADD construction + Check, without committing. *)
 
 val rebuild : Circuit.t -> decision -> unit

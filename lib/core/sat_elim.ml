@@ -35,7 +35,9 @@ type ctx = {
   cfg : Config.t;
   c : Circuit.t;
   index : Index.t;
-  readers : OM.readers;
+      (* live view of the circuit the pass runs on; a walk rewrites only
+         mux data ports, so every driver it reads stays as it started *)
+  locations : OM.locations; (* frozen at pass start *)
   stats : Engine.stats;
   session : Cdcl.Session.t option;
       (* one persistent incremental solver for every SAT query of the run;
@@ -159,8 +161,8 @@ let rec chase ctx known ~cache ~loc (bit : Bits.bit) : Bits.bit =
   | None -> bit
   | Some (child_id, off) -> (
     match Circuit.cell_opt ctx.c child_id with
-    | Some (Cell.Mux { a; b; s; _ } as child)
-      when OM.dedicated_location ctx.readers child = Some loc -> (
+    | Some (Cell.Mux { a; b; s; _ })
+      when OM.location ctx.locations child_id = Some loc -> (
       let verdict, src =
         match Bits.Bit_tbl.find_opt cache s with
         | Some vs -> vs
@@ -209,8 +211,7 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
          | Some (id, _) -> (
            match Circuit.cell_opt ctx.c id with
            | Some child
-             when is_mux child
-                  && OM.dedicated_location ctx.readers child = Some loc ->
+             when is_mux child && OM.location ctx.locations id = Some loc ->
              Some id
            | Some _ | None -> None)
          | None -> None)
@@ -281,13 +282,12 @@ let m_dead = Obs.Metrics.counter "sat_elim.dead_branches"
 
 let run_once (cfg : Config.t) (c : Circuit.t) : report =
   Obs.Trace.with_span "sat_elim.run_once" @@ fun () ->
-  let index = Index.build c in
   let ctx =
     {
       cfg;
       c;
-      index;
-      readers = OM.collect_readers c;
+      index = Index.live c;
+      locations = OM.locations c;
       stats = Engine.fresh_stats ();
       session =
         (if cfg.Config.enable_sat_session then Some (Cdcl.Session.create ())
@@ -299,14 +299,9 @@ let run_once (cfg : Config.t) (c : Circuit.t) : report =
     }
   in
   let visited = Hashtbl.create 64 in
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && OM.dedicated_location ctx.readers cell = None)
-      (Circuit.cell_ids c)
-  in
-  List.iter (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id) roots;
+  List.iter
+    (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id)
+    (OM.roots ctx.locations);
   Obs.Metrics.add m_bypassed ctx.bypassed;
   Obs.Metrics.add m_folded ctx.folded;
   Obs.Metrics.add m_dead ctx.dead;
@@ -361,15 +356,14 @@ let add_stats (into : Engine.stats) (s : Engine.stats) =
 
 let run_tasks (cfg : Config.t) (c : Circuit.t) ~jobs : report =
   Obs.Trace.with_span "sat_elim.run_tasks" @@ fun () ->
-  let readers0 = OM.collect_readers c in
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && OM.dedicated_location readers0 cell = None)
-      (Circuit.cell_ids c)
-    |> Array.of_list
-  in
+  (* Workers share the master circuit's maps read-only: its locations
+     are frozen here, and computing them builds its driver map (if no
+     earlier pass did) before any worker starts.  The master is not
+     edited until the barrier, and the workers' own edits touch only
+     data ports, so the master's drivers are the workers' drivers. *)
+  let locations = OM.locations c in
+  let index = Index.live c in
+  let roots = Array.of_list (OM.roots locations) in
   let n = Array.length roots in
   (* Task-replay cache ({!Replay}, opt-in): a task's result is a pure
      function of (frozen cells, root, config), so when a store is
@@ -400,10 +394,8 @@ let run_tasks (cfg : Config.t) (c : Circuit.t) ~jobs : report =
   let env = Sched.env () in
   let miss_results =
     Pool.run ~jobs
-      ~init:(fun () ->
-        let wc = Circuit.copy c in
-        (wc, Index.build wc, OM.collect_readers wc))
-      ~task:(fun (wc, index, readers) mi ->
+      ~init:(fun () -> Circuit.copy c)
+      ~task:(fun wc mi ->
         Sched.with_task env @@ fun () ->
         let edits = ref [] in
         let ctx =
@@ -411,7 +403,7 @@ let run_tasks (cfg : Config.t) (c : Circuit.t) ~jobs : report =
             cfg;
             c = wc;
             index;
-            readers;
+            locations;
             stats = Engine.fresh_stats ();
             session =
               (if cfg.Config.enable_sat_session then

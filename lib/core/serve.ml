@@ -21,8 +21,9 @@
      {"op":"ping"}                  -> {"op":"ping","status":"ok"}
      {"op":"stats"}                 -> daemon counters + replay-store state
      {"op":"shutdown"}              -> {"op":"shutdown","status":"ok"}, stop
-   Malformed lines get {"status":"error",...} and the daemon keeps
-   serving: one bad job must not take down the batch. *)
+   [jobs] and [budget_ms] must be at least 1.  Malformed lines, and jobs
+   that fail anywhere after loading, get {"status":"error",...} and the
+   daemon keeps serving: one bad job must not take down the batch. *)
 
 open Netlist
 
@@ -59,12 +60,17 @@ let error_response ?id msg : Obs.Json.t =
    under the warm store, report.  [Sat_log]/[Budget] are reset per job
    so the report describes this job alone; the replay section is the
    warm store's cumulative state — its hit rate rising across jobs is
-   the daemon's reason to exist. *)
+   the daemon's reason to exist.  Everything after loading, the area
+   measurements included, runs under one handler: a design the loader
+   accepts can still be unmappable (a combinational loop makes the AIG
+   mapper raise), and that must fail the job, not the daemon. *)
 let optimize t ~id ~kind ~source ~jobs ~budget_ms : Obs.Json.t =
-  match t.load ~kind source with
-  | Error msg ->
+  let fail msg =
     t.jobs_failed <- t.jobs_failed + 1;
     error_response ~id msg
+  in
+  match t.load ~kind source with
+  | Error msg -> fail msg
   | Ok c -> (
     let cfg =
       {
@@ -88,15 +94,20 @@ let optimize t ~id ~kind ~source ~jobs ~budget_ms : Obs.Json.t =
     Engine.Sat_log.reset ();
     Budget.reset ();
     Replay.install t.replays;
-    let area0 = Aiger.Aigmap.aig_area c in
-    let t0 = Obs.Clock.now () in
-    match Driver.smartly ~cfg c with
-    | exception e ->
-      t.jobs_failed <- t.jobs_failed + 1;
-      error_response ~id ("job failed: " ^ Printexc.to_string e)
-    | result ->
+    let run () =
+      let area0 = Aiger.Aigmap.aig_area c in
+      let t0 = Obs.Clock.now () in
+      let result = Driver.smartly ~cfg c in
       let dt = Obs.Clock.now () -. t0 in
-      let area1 = Aiger.Aigmap.aig_area c in
+      (area0, Aiger.Aigmap.aig_area c, dt, result)
+    in
+    match run () with
+    | exception Topo.Combinational_cycle ids ->
+      fail
+        ("job failed: combinational cycle through cells "
+        ^ String.concat ", " (List.map string_of_int ids))
+    | exception e -> fail ("job failed: " ^ Printexc.to_string e)
+    | area0, area1, dt, result ->
       t.jobs_ok <- t.jobs_ok + 1;
       let open Obs.Json in
       Obj
@@ -157,7 +168,19 @@ let handle t (line : string) : Obs.Json.t * bool =
         in
         let jobs = Obs.Json.mem_int "jobs" req in
         let budget_ms = Obs.Json.mem_int "budget_ms" req in
-        (optimize t ~id ~kind ~source ~jobs ~budget_ms, true))
+        (* a budget below 1 ms would put every pass's deadline in the
+           past and truncate the whole job without a word *)
+        let below_one name = function
+          | Some n when n < 1 ->
+            Some (Printf.sprintf "optimize: %S must be at least 1, got %d" name n)
+          | Some _ | None -> None
+        in
+        match
+          List.find_map Fun.id
+            [ below_one "jobs" jobs; below_one "budget_ms" budget_ms ]
+        with
+        | Some msg -> (error_response ~id msg, true)
+        | None -> (optimize t ~id ~kind ~source ~jobs ~budget_ms, true))
     | Some op -> (error_response ~id ("unknown op: " ^ op), true)
     | None -> (error_response ~id "missing \"op\"", true))
 

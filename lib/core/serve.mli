@@ -18,7 +18,9 @@
     {"op":"stats"}                 -> counters + replay-store state
     {"op":"shutdown"}              -> ack, then the loop returns
     v}
-    Malformed lines get [{"status":"error",...}] and the daemon keeps
+    [jobs] and [budget_ms] below 1 are rejected.  Malformed lines, and
+    jobs that raise anywhere after loading (the area measurements
+    included), get [{"status":"error",...}] and the daemon keeps
     serving — one bad job must not take down the batch. *)
 
 open Netlist

@@ -1,11 +1,21 @@
 (** A circuit: one flat module of wires and cells.
 
     Cells live in a mutable table so optimization passes can rewrite them
-    in place; derive {!Index} structures for connectivity queries. *)
+    in place.  The circuit keeps its own connectivity — the driver of
+    each bit, the cells reading each bit and the set of port wires — up
+    to date across {!add_cell}, {!replace_cell}, {!remove_cell} and the
+    port functions.  Driver and reader maps are built on the first
+    {!driver} or {!readers} query, so circuits nobody queries never pay
+    for them; {!copy} leaves them behind.  Edit the [cells] and [ports]
+    fields only through these functions, or the maps go stale.
+    {!Index.build} remains as the from-scratch oracle. *)
 
 type wire = { wire_id : int; wire_name : string; width : int }
 
 type port_dir = Input | Output
+
+type links
+(** The maintained driver and reader maps. *)
 
 type t = {
   name : string;
@@ -14,6 +24,8 @@ type t = {
   wires : (int, wire) Hashtbl.t;
   cells : (int, Cell.t) Hashtbl.t;
   mutable ports : (port_dir * wire) list;
+  port_wires : (int, port_dir) Hashtbl.t;
+  mutable links : links option;
 }
 
 val create : string -> t
@@ -46,6 +58,12 @@ val outputs : t -> wire list
 val input_bits : t -> Bits.bit list
 val output_bits : t -> Bits.bit list
 
+val is_port_bit : t -> Bits.bit -> bool
+(** Does the bit belong to an input or output port wire?  A hash lookup. *)
+
+val is_input_bit : t -> Bits.bit -> bool
+val is_output_bit : t -> Bits.bit -> bool
+
 (** {1 Cells} *)
 
 val add_cell : t -> Cell.t -> int
@@ -63,6 +81,21 @@ val cell_ids : t -> int list
 
 val cell_count : t -> int
 val wire_count : t -> int
+
+(** {1 Connectivity} — maintained across edits. *)
+
+val driver : t -> Bits.bit -> (int * int) option
+(** [(cell id, output offset)] of the cell driving the bit.  A bit that
+    is briefly driven twice resolves to the cell added or replaced last;
+    removing a cell drops only the entries that still name it. *)
+
+val readers : t -> Bits.bit -> int list
+(** Cells reading the bit on any input port, ascending. *)
+
+val drop_links : t -> unit
+(** Free the driver and reader maps; the next query rebuilds them.  The
+    flows call this when they finish, so an optimized circuit that is
+    kept around weighs what it did before it was optimized. *)
 
 (** {1 Builders} — create the cell and return its fresh output. *)
 

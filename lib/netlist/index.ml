@@ -1,15 +1,20 @@
 (* Structural indices over a circuit: who drives each bit, and which cells
-   read each bit.  Rebuilt from scratch after mutating passes. *)
+   read each bit.  [live] is a view of the maps the circuit maintains
+   itself, so it stays current across edits at no cost; [build] rescans
+   the whole circuit into a frozen snapshot, the from-scratch oracle the
+   validator, lint, topological sort and tests check against. *)
 
 type driver =
   | Driven_by of int * int (* cell id, offset within its output sigspec *)
   | Primary_input
   | Undriven
 
-type t = {
+type snapshot = {
   drivers : driver Bits.Bit_tbl.t;
   readers : (int, unit) Hashtbl.t Bits.Bit_tbl.t; (* bit -> set of cell ids *)
 }
+
+type t = Built of snapshot | Live of Circuit.t
 
 let build (c : Circuit.t) =
   let drivers = Bits.Bit_tbl.create 256 in
@@ -42,26 +47,40 @@ let build (c : Circuit.t) =
           end)
         (Cell.input_bits cell))
     c;
-  { drivers; readers }
+  Built { drivers; readers }
+
+let live (c : Circuit.t) = Live c
 
 let driver t (b : Bits.bit) =
   match b with
   | Bits.C0 | Bits.C1 | Bits.Cx -> Undriven
   | Bits.Of_wire _ -> (
-    match Bits.Bit_tbl.find_opt t.drivers b with
-    | Some d -> d
-    | None -> Undriven)
+    match t with
+    | Built s -> (
+      match Bits.Bit_tbl.find_opt s.drivers b with
+      | Some d -> d
+      | None -> Undriven)
+    | Live c -> (
+      match Circuit.driver c b with
+      | Some (id, off) -> Driven_by (id, off)
+      | None -> if Circuit.is_input_bit c b then Primary_input else Undriven))
 
 (* The cell driving bit [b], if any. *)
 let driving_cell t b =
-  match driver t b with
-  | Driven_by (id, off) -> Some (id, off)
-  | Primary_input | Undriven -> None
+  match t with
+  | Live c -> Circuit.driver c b
+  | Built _ -> (
+    match driver t b with
+    | Driven_by (id, off) -> Some (id, off)
+    | Primary_input | Undriven -> None)
 
 let readers t (b : Bits.bit) =
-  match Bits.Bit_tbl.find_opt t.readers b with
-  | Some set -> Hashtbl.fold (fun id () acc -> id :: acc) set []
-  | None -> []
+  match t with
+  | Live c -> Circuit.readers c b
+  | Built s -> (
+    match Bits.Bit_tbl.find_opt s.readers b with
+    | Some set -> Hashtbl.fold (fun id () acc -> id :: acc) set []
+    | None -> [])
 
 (* Number of distinct cells reading any bit of [s]. *)
 let fanout_cells t (s : Bits.sigspec) =

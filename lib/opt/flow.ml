@@ -54,6 +54,7 @@ let baseline ?(after_pass = fun _ _ -> ()) (c : Netlist.Circuit.t) : report =
     end
   in
   let iterations = loop 0 in
+  Netlist.Circuit.drop_links c;
   {
     iterations;
     expr_folded = !expr_folded;

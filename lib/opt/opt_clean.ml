@@ -7,11 +7,10 @@ let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 
 (* One sweep: returns the number of removed cells. *)
 let sweep_once (c : Circuit.t) : int =
-  let index = Index.build c in
   let live = Hashtbl.create 64 in
   let queue = Queue.create () in
   let mark_bit b =
-    match Index.driving_cell index b with
+    match Circuit.driver c b with
     | Some (id, _) ->
       if not (Hashtbl.mem live id) then begin
         Hashtbl.replace live id ();

@@ -11,7 +11,7 @@
 open Netlist
 
 let output_is_port (c : Circuit.t) (cell : Cell.t) =
-  Array.exists (Rewire.is_port_bit c) (Cell.output cell)
+  Array.exists (Circuit.is_port_bit c) (Cell.output cell)
 
 (* Try to const-evaluate the cell with a 3-valued pass (non-constant inputs
    read as X).  Returns the constant output sigspec if fully determined. *)

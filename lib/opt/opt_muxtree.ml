@@ -18,81 +18,79 @@ open Netlist
 
 type side = Side_a | Side_b of int (* pmux part index; Mux's b = part 0 *)
 
-(* (mux id, side) pairs reading each bit, plus non-mux/port readers. *)
-type readers = {
-  mux_reads : (int * side) list Bits.Bit_tbl.t;
-  other_read : unit Bits.Bit_tbl.t; (* read by non-mux cell / select port *)
-}
-
-let collect_readers (c : Circuit.t) : readers =
-  let mux_reads = Bits.Bit_tbl.create 64 in
-  let other_read = Bits.Bit_tbl.create 64 in
-  let mark_other b =
-    if not (Bits.is_const b) then Bits.Bit_tbl.replace other_read b ()
-  in
-  let mark_mux b entry =
-    if not (Bits.is_const b) then
-      Bits.Bit_tbl.replace mux_reads b
-        (entry
-        ::
-        (match Bits.Bit_tbl.find_opt mux_reads b with
-        | Some l -> l
-        | None -> []))
-  in
-  Circuit.iter_cells
-    (fun id cell ->
-      match cell with
-      | Cell.Mux { a; b; s; _ } ->
-        Array.iter (fun bit -> mark_mux bit (id, Side_a)) a;
-        Array.iter (fun bit -> mark_mux bit (id, Side_b 0)) b;
-        mark_other s
-      | Cell.Pmux { a; b; s; _ } ->
-        let w = Bits.width a in
-        Array.iter (fun bit -> mark_mux bit (id, Side_a)) a;
-        Array.iteri
-          (fun i bit -> mark_mux bit (id, Side_b (i / w))) b;
-        Array.iter mark_other s
-      | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ ->
-        List.iter mark_other (Cell.input_bits cell))
-    c;
-  (* output ports count as other readers *)
-  List.iter mark_other (Circuit.output_bits c);
-  { mux_reads; other_read }
-
 (* A mux is a dedicated child of (parent, side) if every read of every
-   output bit is from that one location. *)
-let dedicated_location (r : readers) (cell : Cell.t) : (int * side) option =
+   output bit is from that one location: a data-port side of one mux.
+   Select ports, other cells and output ports all count as foreign
+   reads.  Asked of the circuit's live reader map. *)
+let dedicated_location (c : Circuit.t) (cell : Cell.t) : (int * side) option
+    =
   let y = Cell.output cell in
-  let locations = ref [] in
-  let ok =
-    Array.for_all
-      (fun b ->
-        if Bits.Bit_tbl.mem r.other_read b then false
-        else begin
-          (match Bits.Bit_tbl.find_opt r.mux_reads b with
-          | Some l -> locations := l @ !locations
-          | None -> ());
-          true
-        end)
-      y
-  in
-  if not ok then None
-  else
-    match List.sort_uniq compare !locations with
-    | [ loc ] -> Some loc
-    | [] | _ :: _ -> None
+  if Array.exists (Circuit.is_output_bit c) y then None
+  else begin
+    let mine = Bits.Bit_tbl.create (Array.length y) in
+    Array.iter (fun b -> Bits.Bit_tbl.replace mine b ()) y;
+    let reads b = Bits.Bit_tbl.mem mine b in
+    let locations = ref [] in
+    (* [side i] names the location of bit [i] of the port *)
+    let add_reads id side port =
+      Array.iteri
+        (fun i b -> if reads b then locations := (id, side i) :: !locations)
+        port
+    in
+    let foreign =
+      Array.fold_left (fun acc b -> Circuit.readers c b @ acc) [] y
+      |> List.sort_uniq compare
+      |> List.exists (fun id ->
+             match Circuit.cell c id with
+             | Cell.Mux { a; b; s; _ } ->
+               add_reads id (fun _ -> Side_a) a;
+               add_reads id (fun _ -> Side_b 0) b;
+               reads s
+             | Cell.Pmux { a; b; s; _ } ->
+               let w = Bits.width a in
+               add_reads id (fun _ -> Side_a) a;
+               add_reads id (fun i -> Side_b (i / w)) b;
+               Array.exists reads s
+             | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> true)
+    in
+    if foreign then None
+    else
+      match List.sort_uniq compare !locations with
+      | [ loc ] -> Some loc
+      | [] | _ :: _ -> None
+  end
 
-type ctx = {
-  c : Circuit.t;
-  index : Index.t;
-  readers : readers;
-  mutable eliminated : int; (* muxes bypassed *)
-  mutable const_bits : int; (* data bits replaced by constants *)
-}
+type locations = (int, (int * side) option) Hashtbl.t
 
 let is_mux = function
   | Cell.Mux _ | Cell.Pmux _ -> true
   | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> false
+
+(* Every mux's location as the circuit stands now, for walks that edit
+   data ports as they go but must judge dedication on the netlist they
+   started from. *)
+let locations (c : Circuit.t) : locations =
+  let t = Hashtbl.create 64 in
+  Circuit.iter_cells
+    (fun id cell ->
+      if is_mux cell then Hashtbl.replace t id (dedicated_location c cell))
+    c;
+  t
+
+let location (t : locations) id =
+  match Hashtbl.find_opt t id with Some l -> l | None -> None
+
+(* Muxes that are no dedicated child, ascending: the tree roots. *)
+let roots (t : locations) =
+  Hashtbl.fold (fun id l acc -> if l = None then id :: acc else acc) t []
+  |> List.sort compare
+
+type ctx = {
+  c : Circuit.t;
+  locations : locations; (* frozen at the start of the traversal *)
+  mutable eliminated : int; (* muxes bypassed *)
+  mutable const_bits : int; (* data bits replaced by constants *)
+}
 
 (* Resolve a bit under the known control values: constant substitution plus
    bypassing dedicated child muxes with known selects. *)
@@ -101,14 +99,14 @@ let rec resolve ctx known ~loc (bit : Bits.bit) : Bits.bit =
   | Some true -> Bits.C1
   | Some false -> Bits.C0
   | None -> (
-    match Index.driving_cell ctx.index bit with
+    match Circuit.driver ctx.c bit with
     | None -> bit
     | Some (child_id, off) -> (
       match Circuit.cell_opt ctx.c child_id with
       | None -> bit
       | Some child when not (is_mux child) -> bit
       | Some child -> (
-        match dedicated_location ctx.readers child with
+        match location ctx.locations child_id with
         | Some l when l = loc -> (
           match child with
           | Cell.Mux { a; b; s; _ } -> (
@@ -164,11 +162,11 @@ let with_fact known (bit : Bits.bit) (v : bool) =
 let port_children ctx ~loc (port : Bits.sigspec) : int list =
   Array.to_list port
   |> List.filter_map (fun bit ->
-         match Index.driving_cell ctx.index bit with
+         match Circuit.driver ctx.c bit with
          | Some (id, _) -> (
            match Circuit.cell_opt ctx.c id with
            | Some child when is_mux child -> (
-             match dedicated_location ctx.readers child with
+             match location ctx.locations id with
              | Some l when l = loc -> Some id
              | Some _ | None -> None)
            | Some _ | None -> None)
@@ -237,26 +235,10 @@ let rec visit ctx visited known (id : int) =
 
 (* One full traversal; returns (eliminated muxes, constant-folded bits). *)
 let run_once (c : Circuit.t) : int * int =
-  let ctx =
-    {
-      c;
-      index = Index.build c;
-      readers = collect_readers c;
-      eliminated = 0;
-      const_bits = 0;
-    }
-  in
+  let ctx = { c; locations = locations c; eliminated = 0; const_bits = 0 } in
   let visited = Hashtbl.create 64 in
-  (* roots: muxes that are not dedicated children of another mux *)
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && dedicated_location ctx.readers cell = None)
-      (Circuit.cell_ids c)
-  in
   let empty_known () = Bits.Bit_tbl.create 8 in
-  List.iter (fun id -> visit ctx visited (empty_known ()) id) roots;
+  List.iter (fun id -> visit ctx visited (empty_known ()) id) (roots ctx.locations);
   (* dedicated children never reached from a root (e.g. cyclic weirdness)
      are left untouched *)
   ctx.eliminated, ctx.const_bits

@@ -11,14 +11,24 @@ open Netlist
 
 type side = Side_a | Side_b of int  (** pmux part index; a Mux's b-side is part 0 *)
 
-type readers
-(** Who reads each bit: mux data ports (with location) vs everything else. *)
-
-val collect_readers : Circuit.t -> readers
-
-val dedicated_location : readers -> Cell.t -> (int * side) option
+val dedicated_location : Circuit.t -> Cell.t -> (int * side) option
 (** The unique (mux id, side) reading every output bit of the cell, if the
-    cell is dedicated to a single tree location. *)
+    cell is dedicated to a single tree location, judged on the circuit's
+    live reader map. *)
+
+type locations
+(** {!dedicated_location} of every mux, frozen when computed. *)
+
+val locations : Circuit.t -> locations
+(** The location of every mux of the circuit as it stands now.  Walks
+    that edit data ports as they go judge dedication on this frozen view
+    of the netlist they started from. *)
+
+val location : locations -> int -> (int * side) option
+(** The frozen location of a mux id; [None] for roots and non-muxes. *)
+
+val roots : locations -> int list
+(** Muxes that are not dedicated children, ascending: the tree roots. *)
 
 val run_once : Circuit.t -> int * int
 (** One traversal; returns (bypassed mux-bits, constant-folded data bits). *)

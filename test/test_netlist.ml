@@ -252,6 +252,156 @@ let test_rewire () =
     c;
   check_bool "no reader of c left" true !ok
 
+(* --- maintained connectivity --- *)
+
+(* Every bit of every wire: the circuit's live maps must agree with a
+   fresh [Index.build] and with a rescan of the port lists. *)
+let maps_agree (c : Circuit.t) =
+  let fresh = Index.build c in
+  let port_ids dir =
+    List.map (fun w -> w.Circuit.wire_id)
+      (match dir with `In -> Circuit.inputs c | `Out -> Circuit.outputs c)
+  in
+  let ins = port_ids `In and outs = port_ids `Out in
+  Hashtbl.fold
+    (fun wid (w : Circuit.wire) ok ->
+      ok
+      && List.for_all
+           (fun off ->
+             let b = Bits.Of_wire (wid, off) in
+             Circuit.driver c b = Index.driving_cell fresh b
+             && Circuit.readers c b
+                = List.sort compare (Index.readers fresh b)
+             && Circuit.is_input_bit c b = List.mem wid ins
+             && Circuit.is_output_bit c b = List.mem wid outs
+             && Circuit.is_port_bit c b = (List.mem wid ins || List.mem wid outs))
+           (List.init w.Circuit.width Fun.id))
+    c.Circuit.wires true
+
+(* A random edit sequence that keeps every bit singly driven between
+   edits, the state every pass leaves behind.  The maps are forced at a
+   random step, so both the lazy build and edit-by-edit upkeep are
+   exercised. *)
+let random_edits seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let c = Circuit.create "edits" in
+  let width = 2 in
+  let sources = ref [] in
+  let add_source s = sources := s :: !sources in
+  add_source (Circuit.sig_of_wire (Circuit.add_input c "i0" ~width));
+  add_source (Circuit.sig_of_wire (Circuit.add_input c "i1" ~width));
+  add_source (Bits.of_int ~width 1);
+  (* output ports not yet driven by any cell *)
+  let free_outputs =
+    ref [ Circuit.sig_of_wire (Circuit.add_output c "o0" ~width) ]
+  in
+  let live = ref [] in
+  let operand () =
+    if Random.State.int rng 4 = 0 then
+      Array.init width (fun _ -> (pick !sources).(Random.State.int rng width))
+    else pick !sources
+  in
+  let random_cell y =
+    match Random.State.int rng 4 with
+    | 0 -> Cell.Unary { op = Cell.Not; a = operand (); y }
+    | 1 -> Cell.Binary { op = Cell.And; a = operand (); b = operand (); y }
+    | 2 -> Cell.Binary { op = Cell.Xor; a = operand (); b = operand (); y }
+    | _ ->
+      Cell.Mux { a = operand (); b = operand (); s = (operand ()).(0); y }
+  in
+  let fresh_output () =
+    match !free_outputs with
+    | y :: rest when Random.State.bool rng ->
+      free_outputs := rest;
+      y
+    | _ -> Circuit.fresh_sig c ~width
+  in
+  let force_at = Random.State.int rng 40 in
+  for step = 0 to 59 do
+    if step = force_at then ignore (Circuit.readers c (pick !sources).(0));
+    match Random.State.int rng 7 with
+    | 0 | 1 ->
+      let y = fresh_output () in
+      live := Circuit.add_cell c (random_cell y) :: !live;
+      add_source y
+    | 2 when !live <> [] ->
+      (* new inputs, and now and then a new output wire too *)
+      let id = pick !live in
+      let y =
+        if Random.State.int rng 3 = 0 then begin
+          let y = Circuit.fresh_sig c ~width in
+          add_source y;
+          y
+        end
+        else Cell.output (Circuit.cell c id)
+      in
+      Circuit.replace_cell c id (random_cell y)
+    | 3 when !live <> [] ->
+      let id = pick !live in
+      Circuit.remove_cell c id;
+      live := List.filter (( <> ) id) !live
+    | 4 when !live <> [] ->
+      (* what opt_expr does: rewire the readers, then drop the driver *)
+      let id = pick !live in
+      let from_ = Cell.output (Circuit.cell c id) in
+      let before = c.Circuit.next_cell_id in
+      Rewire.replace_sig c ~from_ ~to_:(operand ());
+      Circuit.remove_cell c id;
+      live :=
+        List.init (c.Circuit.next_cell_id - before) (fun k -> before + k)
+        @ List.filter (( <> ) id) !live
+    | 5 ->
+      add_source
+        (Circuit.sig_of_wire
+           (Circuit.add_input c (Printf.sprintf "i%d" step) ~width))
+    | 6 ->
+      if Random.State.bool rng then
+        free_outputs :=
+          Circuit.sig_of_wire
+            (Circuit.add_output c (Printf.sprintf "o%d" step) ~width)
+          :: !free_outputs
+      else begin
+        match !live with
+        | [] -> ()
+        | l ->
+          let y = Cell.output (Circuit.cell c (pick l)) in
+          match y.(0) with
+          | Bits.Of_wire (wid, _) -> Circuit.set_output c (Circuit.wire c wid)
+          | Bits.C0 | Bits.C1 | Bits.Cx -> ()
+      end
+    | _ -> ()
+  done;
+  c
+
+let prop_maps_match_rebuild =
+  QCheck.Test.make ~count:300 ~name:"live maps = fresh Index.build"
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> maps_agree (random_edits seed))
+
+(* replace_sig on an output-port bit adds its buffer while the old
+   driver still exists; removing the old driver afterwards must leave
+   the buffer as the bit's driver. *)
+let test_brief_double_driver () =
+  let c = Circuit.create "dd" in
+  let a = Circuit.bit_of_wire (Circuit.add_input c "a" ~width:1) in
+  let b = Circuit.bit_of_wire (Circuit.add_input c "b" ~width:1) in
+  let y = Circuit.bit_of_wire (Circuit.add_output c "y" ~width:1) in
+  let old = Circuit.add_cell c (Cell.Unary { op = Cell.Not; a = [| a |]; y = [| y |] }) in
+  check_bool "old drives y" true (Circuit.driver c y = Some (old, 0));
+  Rewire.replace_sig c ~from_:[| y |] ~to_:[| b |];
+  let buffer =
+    match Circuit.driver c y with
+    | Some (id, 0) when id <> old -> id
+    | Some _ | None -> Alcotest.fail "the port buffer must drive y"
+  in
+  check_bool "buffer reads b" true (Circuit.readers c b = [ buffer ]);
+  Circuit.remove_cell c old;
+  check_bool "buffer still drives y" true (Circuit.driver c y = Some (buffer, 0));
+  check_bool "a has no reader left" true (Circuit.readers c a = []);
+  check_bool "maps agree with a rebuild" true (maps_agree c);
+  check_bool "well formed" true (Validate.is_well_formed c)
+
 let test_stats () =
   let c = build_simple () in
   let s = Stats.of_circuit c in
@@ -289,5 +439,11 @@ let () =
             test_cycle_witness_is_shortest;
           Alcotest.test_case "rewire" `Quick test_rewire;
           Alcotest.test_case "stats" `Quick test_stats;
+        ] );
+      ( "links",
+        [
+          Alcotest.test_case "brief double driver" `Quick
+            test_brief_double_driver;
+          QCheck_alcotest.to_alcotest prop_maps_match_rebuild;
         ] );
     ]

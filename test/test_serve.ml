@@ -2,6 +2,20 @@
    smartly-report-v1 validation, warm-cache behavior across identical
    jobs, and error isolation (a bad job must not take down the batch). *)
 
+open Netlist
+
+(* A design the loader accepts but no flow can map: y = a & w, w = ~y. *)
+let cyclic () =
+  let c = Circuit.create "loop" in
+  let a = Circuit.bit_of_wire (Circuit.add_input c "a" ~width:1) in
+  let y = Circuit.bit_of_wire (Circuit.add_output c "y" ~width:1) in
+  let w = Circuit.fresh_bit c in
+  ignore
+    (Circuit.add_cell c
+       (Cell.Binary { op = Cell.And; a = [| a |]; b = [| w |]; y = [| y |] }));
+  ignore (Circuit.add_cell c (Cell.Unary { op = Cell.Not; a = [| y |]; y = [| w |] }));
+  c
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -12,9 +26,15 @@ let load ~kind source =
     match Workloads.Profiles.by_name source with
     | Some p -> Ok (Workloads.Profiles.circuit p)
     | None -> Error (Printf.sprintf "unknown profile %s" source))
+  | "cyclic" -> Ok (cyclic ())
   | k -> Error (Printf.sprintf "unknown kind %s" k)
 
 let daemon () = Smartly.Serve.create ~load ()
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let field name j =
   match Obs.Json.member name j with
@@ -78,6 +98,53 @@ let test_handle_protocol () =
   let _, cs = resp {|{"op":"shutdown"}|} in
   check_bool "shutdown stops" false cs
 
+(* A job whose design has a combinational loop gets past the loader and
+   fails in the AIG mapper; it must answer an error and leave the daemon
+   serving. *)
+let test_cyclic_job () =
+  let t = daemon () in
+  let r, continue =
+    Smartly.Serve.handle t
+      {|{"op":"optimize","id":"loop","kind":"cyclic","source":"loop"}|}
+  in
+  check_string "cyclic job errors" "error" (str "status" r);
+  check_string "error names the job" "loop" (str "id" r);
+  check_bool "daemon continues" true continue;
+  let ping, _ = Smartly.Serve.handle t {|{"op":"ping"}|} in
+  check_string "ping after the failed job" "ok" (str "status" ping);
+  let r2, _ =
+    Smartly.Serve.handle t
+      {|{"op":"optimize","id":"ok","kind":"profile","source":"mux_chain"}|}
+  in
+  validate_report r2;
+  let stats, _ = Smartly.Serve.handle t {|{"op":"stats"}|} in
+  check_int "one job failed" 1 (int_of_float (num "jobs_failed" stats));
+  check_int "one job ok" 1 (int_of_float (num "jobs_ok" stats))
+
+(* jobs and budget_ms below 1 are rejected before any work: a budget of
+   0 would truncate every pass in silence. *)
+let test_rejects_below_one () =
+  let t = daemon () in
+  List.iter
+    (fun (field, value) ->
+      let line =
+        Printf.sprintf
+          {|{"op":"optimize","id":"x","kind":"profile","source":"mux_chain","%s":%d}|}
+          field value
+      in
+      let r, continue = Smartly.Serve.handle t line in
+      let label = Printf.sprintf "%s=%d" field value in
+      check_string (label ^ " errors") "error" (str "status" r);
+      check_bool (label ^ " names the field") true
+        (contains (str "error" r) field);
+      check_bool (label ^ " keeps serving") true continue)
+    [ ("budget_ms", 0); ("budget_ms", -5); ("jobs", 0); ("jobs", -1) ];
+  let ok, _ =
+    Smartly.Serve.handle t
+      {|{"op":"optimize","id":"y","kind":"profile","source":"mux_chain","jobs":1,"budget_ms":60000}|}
+  in
+  validate_report ok
+
 (* --- run: a 3-job batch over a socketpair --- *)
 
 let test_socketpair_batch () =
@@ -133,5 +200,8 @@ let () =
         [
           Alcotest.test_case "protocol" `Quick test_handle_protocol;
           Alcotest.test_case "socketpair batch" `Quick test_socketpair_batch;
+          Alcotest.test_case "cyclic job keeps serving" `Quick test_cyclic_job;
+          Alcotest.test_case "budget and jobs below 1" `Quick
+            test_rejects_below_one;
         ] );
     ]
