@@ -82,10 +82,7 @@ let readers t (b : Bits.bit) =
     | Some set -> Hashtbl.fold (fun id () acc -> id :: acc) set []
     | None -> [])
 
-(* Number of distinct cells reading any bit of [s]. *)
+(* Distinct cells reading any bit of [s], ascending. *)
 let fanout_cells t (s : Bits.sigspec) =
-  let acc = Hashtbl.create 8 in
-  Array.iter
-    (fun b -> List.iter (fun id -> Hashtbl.replace acc id ()) (readers t b))
-    s;
-  Hashtbl.fold (fun id () l -> id :: l) acc []
+  Array.fold_left (fun acc b -> List.rev_append (readers t b) acc) [] s
+  |> List.sort_uniq compare

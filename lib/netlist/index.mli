@@ -28,4 +28,4 @@ val readers : t -> Bits.bit -> int list
 (** Cells reading the bit (any input port); ascending on a live view. *)
 
 val fanout_cells : t -> Bits.sigspec -> int list
-(** Distinct cells reading any bit of the sigspec. *)
+(** Distinct cells reading any bit of the sigspec, ascending. *)

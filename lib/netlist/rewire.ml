@@ -20,16 +20,12 @@ let replace_sig (c : Circuit.t) ~(from_ : Bits.sigspec) ~(to_ : Bits.sigspec) =
   let lookup b =
     match Bits.Bit_tbl.find_opt subst b with Some nb -> nb | None -> b
   in
-  let readers =
-    Array.fold_left (fun acc b -> Circuit.readers c b @ acc) [] from_
-    |> List.sort_uniq compare
-  in
   List.iter
     (fun id ->
       let cell = Circuit.cell c id in
       let rewired = Cell.map_input_bits lookup cell in
       if rewired <> cell then Circuit.replace_cell c id rewired)
-    readers;
+    (Index.fanout_cells (Index.live c) from_);
   (* keep output-port bits driven via buffer cells *)
   let port_pairs =
     Array.to_list from_

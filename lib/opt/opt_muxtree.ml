@@ -38,8 +38,7 @@ let dedicated_location (c : Circuit.t) (cell : Cell.t) : (int * side) option
         port
     in
     let foreign =
-      Array.fold_left (fun acc b -> Circuit.readers c b @ acc) [] y
-      |> List.sort_uniq compare
+      Index.fanout_cells (Index.live c) y
       |> List.exists (fun id ->
              match Circuit.cell c id with
              | Cell.Mux { a; b; s; _ } ->
